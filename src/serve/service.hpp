@@ -60,7 +60,9 @@
 // share one computation, and distinct requests that reduce to the same
 // ExperimentSpec share one ghost simulation through the spec-level
 // coalescer and the engine's (optionally on-disk, cross-process) result
-// cache. Per-class serving cost is metered in a ledger: query counts,
+// cache. Only the coalescer's owner reads or writes that cache, so with no
+// cache_dir, result_cache.misses in stats_json counts simulations run.
+// Per-class serving cost is metered in a ledger: query counts,
 // answer-cache hits, a log-spaced latency histogram (approximate p50/p99),
 // and the energy of serving itself, modeled as busy-seconds × host_watts —
 // Eq. (2)'s εe·T term applied to the server.
