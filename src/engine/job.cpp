@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdlib>
+#include <limits>
 
 #include "support/common.hpp"
 
@@ -28,7 +29,13 @@ constexpr struct {
 };
 
 int get_int(const json::Value& v, std::string_view key) {
-  return static_cast<int>(v.at(key).as_double());
+  const double d = v.at(key).as_double();
+  // Casting a double outside int's range is undefined behaviour.
+  ALGE_REQUIRE(d >= std::numeric_limits<int>::min() &&
+                   d <= std::numeric_limits<int>::max(),
+               "spec field \"%.*s\" = %g is out of int range",
+               static_cast<int>(key.size()), key.data(), d);
+  return static_cast<int>(d);
 }
 
 }  // namespace

@@ -191,8 +191,9 @@ void normalize_navigator(const json::Value& doc, std::vector<Metric>& out) {
 }
 
 /// BENCH_transport.json: {"bench": "transport", "results": [{"name":
-/// "<alg>.<backend>", "p": …, "makespan": …, "wire_msgs_total": …,
-/// "wire_words_total": …, "wall_seconds": …}]} from bench/transport_micro.
+/// "<alg>.<backend>", "p": …, "makespan": …, "ledger_messages_total": …,
+/// "ledger_words_total": …, "wall_seconds": …}]} from
+/// bench/transport_micro.
 /// Everything but wall_seconds is a deterministic model quantity (the real
 /// backends carry the simulator's ledger bit-identically), so any move is
 /// a real cost-schedule change; wall_seconds is the benching machine's

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <condition_variable>
 #include <memory>
 #include <utility>
 
@@ -136,20 +135,6 @@ json::Value merge_objects(const json::Value& base, const json::Value& over) {
   return out;
 }
 
-/// Partial spec JSON → full ExperimentSpec: absent fields take the
-/// default-constructed spec's values, and data_mode defaults to GHOST (the
-/// service exists to make sim-backed answers cheap; callers wanting a
-/// full-data run say {"data_mode": "full"} explicitly).
-engine::ExperimentSpec spec_from_request(const json::Value& spec_json) {
-  ALGE_REQUIRE(spec_json.is_object(), "\"spec\" must be a JSON object");
-  json::Value merged =
-      merge_objects(engine::ExperimentSpec{}.to_json(), spec_json);
-  if (spec_json.find("data_mode") == nullptr) {
-    merged.set("data_mode", "ghost");
-  }
-  return engine::ExperimentSpec::from_json(merged);
-}
-
 json::Value run_codesign(const json::Value& req, const core::AlgModel& model,
                          double n, const core::MachineParams& mp,
                          const core::OptLimits& lim) {
@@ -242,16 +227,15 @@ json::Value run_navigate(const json::Value& req,
 
 }  // namespace
 
-struct QueryService::InFlight {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  bool failed = false;
-  std::string error;
-  std::string kind;
-  std::shared_ptr<const std::string> response;          ///< byte-level
-  std::shared_ptr<engine::ExperimentResult> result;     ///< spec-level
-};
+engine::ExperimentSpec spec_from_request(const json::Value& spec_json) {
+  ALGE_REQUIRE(spec_json.is_object(), "\"spec\" must be a JSON object");
+  json::Value merged =
+      merge_objects(engine::ExperimentSpec{}.to_json(), spec_json);
+  if (spec_json.find("data_mode") == nullptr) {
+    merged.set("data_mode", "ghost");
+  }
+  return engine::ExperimentSpec::from_json(merged);
+}
 
 double ClassStats::quantile_us(double q) const {
   std::uint64_t total = 0;
@@ -302,33 +286,6 @@ std::shared_ptr<const std::string> QueryService::handle(
     }
   }
 
-  // Byte-level coalescing: identical concurrent requests compute once.
-  std::shared_ptr<InFlight> fl;
-  bool owner = false;
-  {
-    std::lock_guard lock(inflight_mu_);
-    if (const auto it = inflight_.find(request); it == inflight_.end()) {
-      fl = std::make_shared<InFlight>();
-      inflight_.emplace(std::string(request), fl);
-      owner = true;
-    } else {
-      fl = it->second;
-    }
-  }
-  if (!owner) {
-    std::unique_lock l(fl->mu);
-    fl->cv.wait(l, [&] { return fl->done; });
-    auto resp = fl->response;
-    const std::string kind = fl->kind;
-    const bool ok = !fl->failed;
-    l.unlock();
-    {
-      std::lock_guard lock(ledger_mu_);
-      ++coalesced_;
-    }
-    return finish(kind, resp, /*cached=*/true, ok);
-  }
-
   std::string kind_label = "unparsed";
   bool cacheable = false;
   bool ok = false;
@@ -339,40 +296,27 @@ std::shared_ptr<const std::string> QueryService::handle(
     std::unique_lock lock(answer_mu_);
     const auto it = answers_.find(key);
     if (it != answers_.end()) {
-      // Hash hit with different bytes (collision) or a racing refresh:
-      // overwrite in place; the key keeps its ring slot.
+      // Hash hit with different bytes (collision) or a concurrent miss on
+      // the same request: overwrite in place; the key keeps its ring slot.
       it->second.request = std::string(request);
       it->second.kind = kind_label;
       it->second.response = resp;
     } else {
       if (answers_.size() >= opts_.answer_cache_cap) {
-        evict_one_locked();
+        clock_keys_[evict_one_locked()] = key;
         evicted = true;
+      } else {
+        clock_keys_.push_back(key);
       }
       answers_.emplace(
           key, Answer{std::string(request), kind_label, resp,
                       std::make_unique<std::atomic<bool>>(false)});
-      clock_keys_.push_back(key);
     }
   }
   if (evicted) {
     std::lock_guard lock(ledger_mu_);
     ++answer_evictions_;
   }
-
-  {
-    std::lock_guard l(fl->mu);
-    fl->response = resp;
-    fl->kind = kind_label;
-    fl->failed = !ok;
-    fl->done = true;
-  }
-  fl->cv.notify_all();
-  {
-    std::lock_guard lock(inflight_mu_);
-    inflight_.erase(inflight_.find(request));
-  }
-
   return finish(kind_label, resp, /*cached=*/false, ok);
 }
 
@@ -416,7 +360,7 @@ json::Value QueryService::dispatch(const json::Value& req,
   if (kind == "navigate") return run_navigate(req, opts_.cache_dir);
   if (kind == "batch") {
     // The batch frame itself is never cached: each element re-enters
-    // handle(), so the answer store, both coalescers and the ledger see
+    // handle(), so the answer store, the spec table and the ledger see
     // every element individually — a repeated spec hits per-spec whether
     // it arrives alone or inside a batch.
     *cacheable = false;
@@ -506,100 +450,72 @@ json::Value QueryService::run_experiment(const json::Value& req) {
   // Spec-level coalescing: requests that differ as bytes (ids, field
   // order, defaulted fields) but name the same simulation share one run.
   // The in-flight table is consulted first and only its owner reads or
-  // writes the result cache: waiters take the owner's result without a
-  // lookup, and a thread arriving after the owner published finds the
-  // stored result as the next owner. So a spec simulates once, and with
-  // no cache_dir the cache's misses count the simulations run.
+  // writes the result cache: waiters take the owner's result (or rethrow
+  // its exception) without a lookup, and a thread arriving after the owner
+  // erased the entry finds the stored result as the next owner. So a spec
+  // simulates once, and with no cache_dir the cache's misses count the
+  // simulations run.
   const std::string key = spec.canonical_json();
-  std::shared_ptr<InFlight> fl;
+  std::promise<std::shared_ptr<const engine::ExperimentResult>> promise;
+  std::shared_future<std::shared_ptr<const engine::ExperimentResult>> shared;
   bool owner = false;
   {
     std::lock_guard lock(spec_inflight_mu_);
-    if (const auto it = spec_inflight_.find(key);
-        it == spec_inflight_.end()) {
-      fl = std::make_shared<InFlight>();
-      spec_inflight_.emplace(key, fl);
-      owner = true;
-    } else {
-      fl = it->second;
-    }
+    auto [it, inserted] = spec_inflight_.try_emplace(key);
+    if (inserted) it->second = promise.get_future().share();
+    shared = it->second;
+    owner = inserted;
   }
-  if (!owner) {
-    std::unique_lock l(fl->mu);
-    fl->cv.wait(l, [&] { return fl->done; });
-    if (fl->failed) {
-      const std::string err = fl->error;
-      l.unlock();
-      throw invalid_argument_error(err);
+  if (owner) {
+    try {
+      if (auto cached = result_cache_.lookup(spec)) {
+        promise.set_value(std::make_shared<const engine::ExperimentResult>(
+            *std::move(cached)));
+      } else {
+        auto result = std::make_shared<const engine::ExperimentResult>(
+            engine::execute(spec));
+        result_cache_.store(spec, *result);
+        promise.set_value(std::move(result));
+      }
+    } catch (...) {
+      promise.set_exception(std::current_exception());
     }
-    const json::Value out = fl->result->to_json();
-    l.unlock();
-    {
-      std::lock_guard lock(ledger_mu_);
-      ++spec_coalesced_;
-    }
-    return out;
-  }
-
-  auto publish = [&](bool failed, const std::string& error,
-                     std::shared_ptr<engine::ExperimentResult> result) {
-    {
-      std::lock_guard l(fl->mu);
-      fl->failed = failed;
-      fl->error = error;
-      fl->result = std::move(result);
-      fl->done = true;
-    }
-    fl->cv.notify_all();
     std::lock_guard lock(spec_inflight_mu_);
     spec_inflight_.erase(key);
-  };
-
+  } else {
+    std::lock_guard lock(ledger_mu_);
+    ++spec_coalesced_;
+  }
+  // Rethrow a failure as this thread's own exception, copying the message
+  // while `shared` still holds the owner's: exception_ptr refcounts live in
+  // uninstrumented libstdc++, so under TSan one thread freeing the shared
+  // exception after another read it outside this scope looks like a race.
   try {
-    std::shared_ptr<engine::ExperimentResult> result;
-    if (auto cached = result_cache_.lookup(spec)) {
-      result = std::make_shared<engine::ExperimentResult>(*std::move(cached));
-    } else {
-      result = std::make_shared<engine::ExperimentResult>(
-          engine::execute(spec));
-      result_cache_.store(spec, *result);
-    }
-    const json::Value out = result->to_json();
-    publish(false, "", std::move(result));
-    return out;
+    return shared.get()->to_json();
   } catch (const std::exception& e) {
-    publish(true, e.what(), nullptr);
-    throw;
+    throw invalid_argument_error(e.what());
   }
 }
 
-void QueryService::evict_one_locked() {
-  // Second-chance sweep: a set referenced bit buys one more lap. The
-  // caller holds answer_mu_ exclusively, so no hit can re-mark an entry
-  // mid-sweep — after one full clearing lap the next candidate must be
-  // cold, bounding the scan at two laps.
-  for (std::size_t step = 0; step <= 2 * clock_keys_.size(); ++step) {
-    if (clock_hand_ >= clock_keys_.size()) clock_hand_ = 0;
-    const std::uint64_t k = clock_keys_[clock_hand_];
-    const auto it = answers_.find(k);
-    if (it == answers_.end()) {
-      // Stale ring slot (defensive; structural changes keep the ring in
-      // sync): compact it and retry the same position.
-      clock_keys_[clock_hand_] = clock_keys_.back();
-      clock_keys_.pop_back();
-      continue;
+std::size_t QueryService::evict_one_locked() {
+  // CLOCK: a set referenced bit buys one more lap. The caller holds
+  // answer_mu_ exclusively, so no hit can re-mark an entry mid-sweep —
+  // after one full clearing lap the next candidate must be cold, bounding
+  // the scan at two laps. The freed slot stays behind the hand, so the new
+  // answer gets a full lap before the hand reaches it.
+  for (std::size_t step = 0;; ++step) {
+    ALGE_CHECK(step <= 2 * clock_keys_.size(),
+               "CLOCK sweep failed to evict (%zu entries)", answers_.size());
+    const std::size_t slot = clock_hand_;
+    clock_hand_ = (clock_hand_ + 1) % clock_keys_.size();
+    const auto it = answers_.find(clock_keys_[slot]);
+    ALGE_CHECK(it != answers_.end(),
+               "clock ring slot %zu names no resident answer", slot);
+    if (!it->second.referenced->exchange(false, std::memory_order_relaxed)) {
+      answers_.erase(it);
+      return slot;
     }
-    if (it->second.referenced->exchange(false, std::memory_order_relaxed)) {
-      ++clock_hand_;
-      continue;
-    }
-    answers_.erase(it);
-    clock_keys_[clock_hand_] = clock_keys_.back();
-    clock_keys_.pop_back();
-    return;
   }
-  ALGE_CHECK(false, "second-chance sweep failed to evict (%zu entries)",
-             answers_.size());
 }
 
 void QueryService::note(const std::string& kind, double seconds, bool hit,
@@ -619,7 +535,6 @@ void QueryService::note(const std::string& kind, double seconds, bool hit,
 
 json::Value QueryService::stats_json() const {
   json::Value classes = json::Value::object();
-  std::uint64_t coalesced = 0;
   std::uint64_t spec_coalesced = 0;
   std::uint64_t answer_evictions = 0;
   {
@@ -636,7 +551,6 @@ json::Value QueryService::stats_json() const {
           .set("max_us", cs.max_us);
       classes.set(kind, std::move(c));
     }
-    coalesced = coalesced_;
     spec_coalesced = spec_coalesced_;
     answer_evictions = answer_evictions_;
   }
@@ -652,8 +566,10 @@ json::Value QueryService::stats_json() const {
       .set("misses", rc.misses)
       .set("corrupt", rc.corrupt);
   json::Value o = json::Value::object();
+  // The byte-level coalescer is gone; "coalesced" stays, always 0, because
+  // perfbench/serve.cpp reads it. It goes with the next benchmark change.
   o.set("classes", std::move(classes))
-      .set("coalesced", coalesced)
+      .set("coalesced", 0)
       .set("spec_coalesced", spec_coalesced)
       .set("answer_store_entries", answer_entries)
       .set("answer_evictions", answer_evictions)

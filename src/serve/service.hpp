@@ -33,7 +33,7 @@
 //                                                     service's engine
 //                                                     result cache
 //   framing: "batch" {"queries": [...]} — every element is re-dispatched
-//            through handle() (answer store, coalescers and ledger all hit
+//            through handle() (answer store, spec table and ledger all hit
 //            per-spec), responses return as one array in order; element
 //            failures stay element-local; batches cannot nest and the
 //            batch frame itself is never cached
@@ -55,13 +55,15 @@
 // The answer store is content-addressed, like the engine cache: the FNV-1a
 // hash of the raw request bytes keys a response-bytes map, so the steady-
 // state hot path is hash → lookup → respond, with no JSON parsing at all
-// (that is what makes 100k+ queries/s possible on one core). Identical
-// requests in flight are coalesced at two levels: byte-identical requests
-// share one computation, and distinct requests that reduce to the same
-// ExperimentSpec share one ghost simulation through the spec-level
-// coalescer and the engine's (optionally on-disk, cross-process) result
-// cache. Only the coalescer's owner reads or writes that cache, so with no
-// cache_dir, result_cache.misses in stats_json counts simulations run.
+// (that is what makes 100k+ queries/s possible on one core). A miss parses
+// and dispatches. Distinct "experiment" requests that reduce to the same
+// ExperimentSpec (ids, field order, defaulted fields) share one ghost
+// simulation through the spec-level in-flight table and the engine's
+// (optionally on-disk, cross-process) result cache. Only the table's owner
+// reads or writes that cache, so with no cache_dir, result_cache.misses in
+// stats_json counts simulations run. Identical closed-form or "navigate"
+// requests that miss at the same instant each compute; both store the same
+// bytes.
 // Per-class serving cost is metered in a ledger: query counts,
 // answer-cache hits, a log-spaced latency histogram (approximate p50/p99),
 // and the energy of serving itself, modeled as busy-seconds × host_watts —
@@ -70,6 +72,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -90,10 +93,12 @@ struct ServiceOptions {
   /// with other servers and CLIs: the store is atomic-rename, torn entries
   /// read as misses.
   std::string cache_dir;
-  /// Answer-store entry cap. At capacity a second-chance (clock) sweep
-  /// evicts the first entry not hit since the hand last passed it, so hot
-  /// answers — e.g. the closed-form §V queries a dashboard polls — survive
-  /// floods of one-shot experiment queries. 0 disables retention entirely.
+  /// Answer-store entry cap. At capacity a CLOCK (second-chance) hand
+  /// sweeps the ring of resident answers and evicts the first one not hit
+  /// since the hand last passed it; the new answer takes that slot, behind
+  /// the hand. Hot answers — e.g. the closed-form §V queries a dashboard
+  /// polls — survive floods of one-shot experiment queries, and one-shots
+  /// leave in arrival order. 0 disables retention entirely.
   std::size_t answer_cache_cap = 1 << 16;
   /// Watts drawn by the host while a worker computes, for the
   /// energy-of-serving ledger. Default: the case-study chip's TDP.
@@ -102,6 +107,13 @@ struct ServiceOptions {
   /// lane = caller-supplied worker id).
   obs::SpanLog* spans = nullptr;
 };
+
+/// An "experiment" query's partial spec JSON → full ExperimentSpec: absent
+/// fields take the default-constructed spec's values, and data_mode
+/// defaults to GHOST (the service exists to make sim-backed answers cheap;
+/// callers wanting a full-data run say {"data_mode": "full"} explicitly).
+/// Throws json::json_error or invalid_argument_error on a bad spec.
+engine::ExperimentSpec spec_from_request(const json::Value& spec_json);
 
 /// Per-query-class serving ledger entry (see stats_json for the encoding).
 struct ClassStats {
@@ -136,8 +148,6 @@ class QueryService {
   const ServiceOptions& options() const { return opts_; }
 
  private:
-  struct InFlight;
-
   std::shared_ptr<const std::string> compute(std::string_view request,
                                              std::string* kind_label,
                                              bool* cacheable, bool* ok);
@@ -173,24 +183,21 @@ class QueryService {
   std::vector<std::uint64_t> clock_keys_;
   std::size_t clock_hand_ = 0;
 
-  /// Evict one entry via the second-chance sweep. Caller holds answer_mu_
-  /// exclusively and guarantees the store is non-empty.
-  void evict_one_locked();
+  /// Evict one entry via the CLOCK sweep and return its ring slot, with
+  /// the hand already past it; the caller writes the new key there. Caller
+  /// holds answer_mu_ exclusively and guarantees the store is full.
+  std::size_t evict_one_locked();
 
-  /// Byte-level in-flight coalescing: concurrent identical requests wait
-  /// for the first one's response instead of recomputing.
-  std::mutex inflight_mu_;
-  std::map<std::string, std::shared_ptr<InFlight>, std::less<>> inflight_;
-
-  /// Spec-level in-flight coalescing for "experiment" queries that differ
-  /// as bytes (ids, field order) but name the same simulation.
+  /// Spec-level in-flight table for "experiment" queries that differ as
+  /// bytes (ids, field order) but name the same simulation: canonical spec
+  /// → the owner's result (or exception), which waiters share.
   std::mutex spec_inflight_mu_;
-  std::map<std::string, std::shared_ptr<InFlight>, std::less<>>
+  std::map<std::string,
+           std::shared_future<std::shared_ptr<const engine::ExperimentResult>>>
       spec_inflight_;
 
   mutable std::mutex ledger_mu_;
   std::map<std::string, ClassStats> ledger_;
-  std::uint64_t coalesced_ = 0;       ///< requests served by a peer's compute
   std::uint64_t spec_coalesced_ = 0;  ///< experiments merged at spec level
   std::uint64_t answer_evictions_ = 0;  ///< entries displaced at capacity
 };

@@ -140,8 +140,16 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // One recursion per level: bound it, or a frame of '[' bytes
+        // overflows the stack.
+        if (depth_ == kMaxDepth) fail("containers nested too deep", pos_);
+        ++depth_;
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Value(parse_string());
       case 't':
         if (literal("true")) return Value(true);
@@ -257,11 +265,16 @@ class Parser {
     char* end = nullptr;
     const double d = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) fail("invalid number", start);
+    // Out of double range: a non-finite value could not be dumped again.
+    if (!std::isfinite(d)) fail("number out of range", start);
     return Value(d);
   }
 
+  static constexpr int kMaxDepth = 512;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -151,13 +151,21 @@ void ShmTransport::ring_read(int src, char* out, std::size_t len) {
     const std::size_t avail = static_cast<std::size_t>(head - tail);
     if (avail == 0) {
       const ShmRankSlot& peer = arena_.slot(src);
-      if (peer.dead.load(std::memory_order_acquire) != 0) {
+      const bool dead = peer.dead.load(std::memory_order_acquire) != 0;
+      const std::uint32_t st = peer.state.load(std::memory_order_acquire);
+      if ((dead || st == ShmRankSlot::kFailed || st == ShmRankSlot::kDone) &&
+          r.head.load(std::memory_order_acquire) != tail) {
+        // The peer publishes head before its final state, so after seeing
+        // a terminal state this second load sees its last frame: a peer
+        // that wrote and finished between our two loads is not a failure.
+        continue;
+      }
+      if (dead) {
         throw TransportError(strfmt(
             "rank %d recv from rank %d: peer process died mid-stream (%zu "
             "of %zu frame bytes arrived)",
             rank_, src, done, len));
       }
-      const std::uint32_t st = peer.state.load(std::memory_order_acquire);
       if (st == ShmRankSlot::kFailed) {
         throw TransportError(strfmt(
             "rank %d recv from rank %d: peer failed before sending", rank_,

@@ -1,8 +1,16 @@
 #include "transport/wire.hpp"
 
+#include <algorithm>
+
 #include "support/common.hpp"
 
 namespace alge::transport {
+
+namespace {
+
+constexpr std::uint64_t kReserveWordsCap = std::uint64_t{1} << 20;
+
+}  // namespace
 
 void ChunkedTransport::deliver(int dst, int tag, sim::ConstPayload data,
                                double clock_after_send, double msg_count,
@@ -71,7 +79,12 @@ StashedMessage ChunkedTransport::read_message(int src, int* tag_out) {
       msg.arrival = h.arrival;
       msg.msg_count = h.msg_count;
       msg.words.clear();
-      msg.words.reserve(static_cast<std::size_t>(h.msg_words));
+      // msg_words is the peer's claim, checked only against chunk_count:
+      // trust it for at most kReserveWordsCap up front (a forged header
+      // would otherwise allocate terabytes); longer messages grow as their
+      // chunks arrive.
+      msg.words.reserve(static_cast<std::size_t>(
+          std::min<std::uint64_t>(h.msg_words, kReserveWordsCap)));
     } else if (h.tag != *tag_out) {
       throw TransportError(strfmt(
           "rank %d: chunk %u from rank %d switched tag %d -> %d mid-message",

@@ -1,22 +1,26 @@
 // Tests for src/serve: wire-protocol framing edge cases (partial reads,
 // zero-length / oversized frames, disconnect mid-frame), bit-identity of
 // served answers against direct core::Optimizer / engine::execute
-// evaluation on both the answer-store miss and hit paths, in-flight
-// coalescing, the concurrent-writer hardening of the engine's on-disk
+// evaluation on both the answer-store miss and hit paths, spec-level
+// in-flight coalescing (results and failures), CLOCK eviction of the answer
+// store, the concurrent-writer hardening of the engine's on-disk
 // result cache, the per-request SpanLog, and graceful server shutdown.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/opt.hpp"
+#include "engine/backend.hpp"
 #include "engine/cache.hpp"
 #include "navigator/navigator.hpp"
 #include "engine/runner.hpp"
@@ -266,8 +270,8 @@ TEST(QueryService, PartialSpecTakesDefaultsAndGhostMode) {
 
 TEST(QueryService, ConcurrentIdenticalExperimentsSimulateOnce) {
   serve::QueryService svc;
-  // Distinct ids → distinct request bytes → the byte-level coalescer does
-  // not apply; the spec-level one (plus the result cache) must still keep
+  // Distinct ids → distinct request bytes → the answer store cannot help;
+  // the spec-level in-flight table (plus the result cache) must still keep
   // this to a single simulation.
   constexpr int kThreads = 8;
   std::vector<std::string> responses(kThreads);
@@ -284,6 +288,81 @@ TEST(QueryService, ConcurrentIdenticalExperimentsSimulateOnce) {
   EXPECT_EQ(svc.result_cache().stats().misses, 1u);
   const std::string want = answer_of(responses[0]);
   for (const std::string& r : responses) EXPECT_EQ(answer_of(r), want);
+}
+
+TEST(QueryService, ConcurrentFailingExperimentsShareTheError) {
+  // A spec that parses but fails inside engine::execute: its transport
+  // names a scripted backend that holds the run open until every other
+  // thread waits on it, then throws. The owner's exception reaches all
+  // eight threads as the same structured error.
+  serve::QueryService svc;
+  constexpr int kThreads = 8;
+  engine::register_backend_executor(
+      "scripted-failure",
+      [&svc](const engine::ExperimentSpec&) -> engine::ExperimentResult {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (svc.stats_json().at("spec_coalesced").as_double() <
+                   kThreads - 1 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        throw std::runtime_error("scripted backend failed mid-run");
+      });
+  std::vector<std::string> responses(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      const std::string req =
+          R"({"id":"t)" + std::to_string(i) +
+          R"(","kind":"experiment","spec":{"alg":"mm25d","n":16,"q":2,)"
+          R"("c":1,"transport":"scripted-failure"}})";
+      responses[static_cast<std::size_t>(i)] = handle(svc, req);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::string& r : responses) {
+    const json::Value v = json::parse(r);
+    EXPECT_FALSE(v.at("ok").as_bool()) << r;
+    EXPECT_EQ(v.at("error").as_string(), "scripted backend failed mid-run");
+  }
+  // One owner ran (one result-cache lookup, a miss; a failed run stores
+  // nothing) and the other seven waited on it.
+  const json::Value stats =
+      json::parse(answer_of(handle(svc, R"({"kind":"stats"})")));
+  EXPECT_EQ(svc.result_cache().stats().misses, 1u);
+  EXPECT_EQ(stats.at("spec_coalesced").as_double(), kThreads - 1.0);
+  EXPECT_EQ(stats.at("classes").at("experiment").at("errors").as_double(),
+            static_cast<double>(kThreads));
+  // Drop the executor's reference to this test's service.
+  engine::register_backend_executor(
+      "scripted-failure",
+      [](const engine::ExperimentSpec&) -> engine::ExperimentResult {
+        throw std::runtime_error("scripted backend is not armed");
+      });
+}
+
+TEST(QueryService, FullStoreEvictsOldestColdAnswers) {
+  // CLOCK at capacity: with no hits every referenced bit stays clear, so
+  // the hand evicts in arrival order and the store keeps the newest
+  // answers. Ten distinct misses through a 4-entry store leave the last
+  // four resident.
+  serve::ServiceOptions opts;
+  opts.answer_cache_cap = 4;
+  serve::QueryService svc(opts);
+  auto req = [](int i) {
+    return strfmt(R"({"kind":"min_energy","model":"nbody","n":%d})",
+                  1000000 + i);
+  };
+  for (int i = 0; i < 10; ++i) (void)handle(svc, req(i));
+  for (int i = 9; i >= 6; --i) (void)handle(svc, req(i));
+  const json::Value stats =
+      json::parse(answer_of(handle(svc, R"({"kind":"stats"})")));
+  EXPECT_EQ(stats.at("classes").at("min_energy").at("answer_hits").as_double(),
+            4.0)
+      << "a recent answer was evicted while older ones stayed resident";
+  EXPECT_EQ(stats.at("answer_evictions").as_double(), 6.0);
+  EXPECT_EQ(stats.at("answer_store_entries").as_double(), 4.0);
 }
 
 TEST(QueryService, HotAnswersSurviveOneShotFloods) {
@@ -330,6 +409,8 @@ TEST(QueryService, StatsReportsServedClasses) {
   EXPECT_EQ(cls.at("count").as_double(), 2.0);
   EXPECT_EQ(cls.at("answer_hits").as_double(), 1.0);
   EXPECT_GT(stats.at("answer_store_entries").as_double(), 0.0);
+  // Kept for stats consumers; nothing coalesces at the byte level.
+  EXPECT_EQ(stats.at("coalesced").as_double(), 0.0);
 }
 
 // --- batch framing: per-spec caching through one frame -------------------
