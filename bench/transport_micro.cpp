@@ -17,12 +17,12 @@
 #include <string>
 #include <vector>
 
+#include "algs/registry.hpp"
 #include "bench_common.hpp"
 #include "support/cli.hpp"
 #include "support/common.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
-#include "transport/programs.hpp"
 #include "transport/run.hpp"
 
 namespace {
@@ -97,15 +97,15 @@ int main(int argc, char** argv) {
            "wall s", "conforms"});
   bool all_ok = true;
 
-  for (const std::string& alg : transport::program_names()) {
-    const transport::AlgProgram ap =
-        transport::make_program(transport::conformance_spec(alg));
+  for (const algs::AlgEntry& entry : algs::entries()) {
+    const std::string alg(entry.name());
+    const algs::Program prog = algs::prepare(entry.conformance());
     transport::RunOptions opts;
-    opts.p = ap.p;
+    opts.p = prog.p;
     opts.params = core::MachineParams::unit();
     opts.timeout_s = 30.0;
 
-    const transport::RunReport ref = transport::run_sim(opts, ap.program);
+    const transport::RunReport ref = transport::run_sim(opts, prog.rank);
     const LedgerTotals ledger = ledger_of(ref);
 
     for (const transport::Backend backend :
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
       if (!backend_enabled(bname.c_str())) continue;
       const auto t0 = std::chrono::steady_clock::now();
       const transport::RunReport report =
-          transport::run(backend, opts, ap.program);
+          transport::run(backend, opts, prog.rank);
       const double wall =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();

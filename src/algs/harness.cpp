@@ -1,26 +1,29 @@
 #include "algs/harness.hpp"
 
-#include <algorithm>
 #include <vector>
 
-#include "algs/fft/fft.hpp"
-#include "algs/foldmaps.hpp"
-#include "algs/lu/distributed.hpp"
-#include "algs/lu/local.hpp"
-#include "algs/matmul/distributed.hpp"
-#include "algs/matmul/local.hpp"
-#include "algs/nbody/nbody.hpp"
-#include "algs/qr/tsqr.hpp"
-#include "algs/strassen/layout.hpp"
 #include "sim/comm.hpp"
 #include "support/common.hpp"
-#include "support/rng.hpp"
-#include "topo/grid.hpp"
 
 namespace alge::algs::harness {
 
 namespace {
+
 thread_local RunObserver tls_observer;
+
+RunResult finish(sim::Machine& m, bool verified, double err) {
+  RunResult res;
+  res.p = m.p();
+  res.makespan = m.makespan();
+  res.totals = m.totals();
+  res.energy = m.energy();
+  res.verified = verified;
+  res.max_abs_error = err;
+  res.fold_slots = m.fold_active() ? m.num_slots() : 0;
+  if (tls_observer.after_run) tls_observer.after_run(m);
+  return res;
+}
+
 }  // namespace
 
 RunObserver& run_observer() { return tls_observer; }
@@ -41,468 +44,98 @@ sim::MachineConfig observed_config(const core::MachineParams& mp) {
   return cfg;
 }
 
-namespace {
-std::vector<double> block_of(const std::vector<double>& m, int n, int q,
-                             int bi, int bj) {
-  const int nb = n / q;
-  std::vector<double> out(static_cast<std::size_t>(nb) * nb);
-  for (int r = 0; r < nb; ++r) {
-    for (int c = 0; c < nb; ++c) {
-      out[static_cast<std::size_t>(r) * nb + c] =
-          m[static_cast<std::size_t>(bi * nb + r) * n + (bj * nb + c)];
-    }
-  }
-  return out;
-}
-
-/// True iff `cfg` runs ghost payloads; ghost runs replay the exact cost
-/// schedule without data, so there is no output to verify.
-bool ghost_mode(const sim::MachineConfig& cfg, bool verify) {
+RunResult run(const Problem& pr, const core::MachineParams& mp,
+              bool verify) {
+  sim::MachineConfig cfg = observed_config(mp);
+  // Ghost runs replay the exact cost schedule without data, so there is no
+  // output to verify.
   const bool ghost = cfg.data_mode == sim::DataMode::kGhost;
   ALGE_REQUIRE(!(ghost && verify),
                "ghost data mode measures cost, not output; run with "
                "verify=false");
-  return ghost;
-}
-
-/// Attach the algorithm's fold map when the observer asked for folded
-/// execution and nothing supplied one. Builders may return nullptr (no
-/// exact fold at this parameter point) — the machine then transparently
-/// stays on the per-fiber path, so attaching is always safe.
-template <typename Builder>
-void attach_fold(sim::MachineConfig& cfg, Builder&& build) {
+  const AlgEntry& alg = entry(pr.alg);
+  cfg.p = alg.world_size(pr);
+  // A fold map only when the observer asked for folded execution and
+  // nothing supplied one. A null map (no exact fold at this point) keeps
+  // the machine on the per-fiber path, so attaching is always safe.
   if (cfg.exec_mode == sim::ExecMode::kFolded && cfg.fold == nullptr) {
-    cfg.fold = build();
+    cfg.fold = alg.fold_map(pr);
   }
+  sim::Machine m(cfg);
+  // The machine allocates before the inputs and the program do: with the
+  // opposite heap order the folded ghost rows ran about 5 % slower.
+  const Program prog = prepare(pr, ghost);
+  Outputs outputs(ghost ? 0 : static_cast<std::size_t>(prog.p));
+  m.run([&](sim::Comm& comm) {
+    if (ghost) {
+      std::vector<double> none;
+      prog.rank(comm, none);
+    } else {
+      prog.rank(comm, outputs[static_cast<std::size_t>(comm.rank())]);
+    }
+  });
+  return finish(m, verify, verify ? prog.verify(outputs) : 0.0);
 }
-
-RunResult finish(sim::Machine& m, bool verified, double err) {
-  RunResult res;
-  res.p = m.p();
-  res.makespan = m.makespan();
-  res.totals = m.totals();
-  res.energy = m.energy();
-  res.verified = verified;
-  res.max_abs_error = err;
-  res.fold_slots = m.fold_active() ? m.num_slots() : 0;
-  if (tls_observer.after_run) tls_observer.after_run(m);
-  return res;
-}
-}  // namespace
 
 RunResult run_mm25d(int n, int q, int c, const core::MachineParams& mp,
                     bool verify, std::uint64_t seed,
                     const Mm25dOptions& opts) {
-  topo::Grid3D grid(q, c);
-  sim::MachineConfig cfg = observed_config(mp);
-  cfg.p = grid.p();
-  attach_fold(cfg,
-              [&] { return foldmap_mm25d(q, c, n / q, opts.ring_replication); });
-  const bool ghost = ghost_mode(cfg, verify);
-  sim::Machine m(cfg);
-  Rng rng(seed);
-  std::vector<double> A, B;
-  if (!ghost) {
-    A = random_matrix(n, n, rng);
-    B = random_matrix(n, n, rng);
-  }
-  const std::size_t nb2 = static_cast<std::size_t>(n / q) *
-                          static_cast<std::size_t>(n / q);
-  std::vector<std::vector<double>> c_blocks(
-      ghost ? 0 : static_cast<std::size_t>(q) * q);
-  m.run([&](sim::Comm& comm) {
-    const int i = grid.row_of(comm.rank());
-    const int j = grid.col_of(comm.rank());
-    if (grid.layer_of(comm.rank()) != 0) {
-      mm_25d(comm, grid, n, {}, {}, {}, opts);
-      return;
-    }
-    if (ghost) {
-      mm_25d(comm, grid, n, sim::ConstPayload::ghost(nb2),
-             sim::ConstPayload::ghost(nb2), sim::Payload::ghost(nb2), opts);
-      return;
-    }
-    const auto a = block_of(A, n, q, i, j);
-    const auto b = block_of(B, n, q, i, j);
-    std::vector<double> cb(a.size(), 0.0);
-    mm_25d(comm, grid, n, a, b, cb, opts);
-    c_blocks[static_cast<std::size_t>(i) * q + j] = std::move(cb);
-  });
-  double err = 0.0;
-  if (verify) {
-    std::vector<double> ref(static_cast<std::size_t>(n) * n, 0.0);
-    matmul_add(A.data(), B.data(), ref.data(), n, n, n);
-    for (int i = 0; i < q; ++i) {
-      for (int j = 0; j < q; ++j) {
-        const auto want = block_of(ref, n, q, i, j);
-        err = std::max(err, max_abs_diff(
-                                c_blocks[static_cast<std::size_t>(i) * q + j],
-                                want));
-      }
-    }
-  }
-  return finish(m, verify, err);
+  return run({.alg = Alg::kMm25d,
+              .n = n,
+              .q = q,
+              .c = c,
+              .ring_replication = opts.ring_replication,
+              .seed = seed},
+             mp, verify);
 }
 
 RunResult run_summa(int n, int q, const core::MachineParams& mp, bool verify,
                     std::uint64_t seed) {
-  topo::Grid2D grid(q);
-  sim::MachineConfig cfg = observed_config(mp);
-  cfg.p = grid.p();
-  attach_fold(cfg, [&] { return foldmap_summa(n, q); });
-  const bool ghost = ghost_mode(cfg, verify);
-  sim::Machine m(cfg);
-  Rng rng(seed);
-  std::vector<double> A, B;
-  if (!ghost) {
-    A = random_matrix(n, n, rng);
-    B = random_matrix(n, n, rng);
-  }
-  const std::size_t nb2 = static_cast<std::size_t>(n / q) *
-                          static_cast<std::size_t>(n / q);
-  std::vector<std::vector<double>> c_blocks(
-      ghost ? 0 : static_cast<std::size_t>(q) * q);
-  m.run([&](sim::Comm& comm) {
-    const int i = grid.row_of(comm.rank());
-    const int j = grid.col_of(comm.rank());
-    if (ghost) {
-      summa_2d(comm, grid, n, sim::ConstPayload::ghost(nb2),
-               sim::ConstPayload::ghost(nb2), sim::Payload::ghost(nb2));
-      return;
-    }
-    const auto a = block_of(A, n, q, i, j);
-    const auto b = block_of(B, n, q, i, j);
-    std::vector<double> cb(a.size(), 0.0);
-    summa_2d(comm, grid, n, a, b, cb);
-    c_blocks[static_cast<std::size_t>(i) * q + j] = std::move(cb);
-  });
-  double err = 0.0;
-  if (verify) {
-    std::vector<double> ref(static_cast<std::size_t>(n) * n, 0.0);
-    matmul_add(A.data(), B.data(), ref.data(), n, n, n);
-    for (int i = 0; i < q; ++i) {
-      for (int j = 0; j < q; ++j) {
-        err = std::max(err, max_abs_diff(
-                                c_blocks[static_cast<std::size_t>(i) * q + j],
-                                block_of(ref, n, q, i, j)));
-      }
-    }
-  }
-  return finish(m, verify, err);
+  return run({.alg = Alg::kSumma, .n = n, .q = q, .seed = seed}, mp, verify);
 }
 
 RunResult run_caps(int n, int k, const core::MachineParams& mp,
                    const CapsOptions& opts, bool verify, std::uint64_t seed) {
-  const int p = caps_ranks(k);
-  const std::string sched =
-      opts.schedule.empty() ? std::string(static_cast<std::size_t>(k), 'B')
-                            : opts.schedule;
-  const int levels = static_cast<int>(sched.size());
-  sim::MachineConfig cfg = observed_config(mp);
-  cfg.p = p;
-  attach_fold(cfg, [&] { return foldmap_caps(p); });
-  const bool ghost = ghost_mode(cfg, verify);
-  sim::Machine m(cfg);
-  Rng rng(seed);
-  std::vector<double> A, B, Az, Bz;
-  if (!ghost) {
-    A = random_matrix(n, n, rng);
-    B = random_matrix(n, n, rng);
-    Az = to_z_order(A, n, levels);
-    Bz = to_z_order(B, n, levels);
-  }
-  const std::size_t share = static_cast<std::size_t>(n) *
-                            static_cast<std::size_t>(n) /
-                            static_cast<std::size_t>(p);
-  std::vector<std::vector<double>> c_shares(
-      ghost ? 0 : static_cast<std::size_t>(p));
-  m.run([&](sim::Comm& comm) {
-    if (ghost) {
-      caps_multiply(comm, n, k, sim::ConstPayload::ghost(share),
-                    sim::ConstPayload::ghost(share),
-                    sim::Payload::ghost(share), opts);
-      return;
-    }
-    const auto a = extract_share(Az, p, comm.rank());
-    const auto b = extract_share(Bz, p, comm.rank());
-    std::vector<double> cs(a.size());
-    caps_multiply(comm, n, k, a, b, cs, opts);
-    c_shares[static_cast<std::size_t>(comm.rank())] = std::move(cs);
-  });
-  double err = 0.0;
-  if (verify) {
-    std::vector<double> Cz(static_cast<std::size_t>(n) * n, 0.0);
-    for (int r = 0; r < p; ++r) {
-      place_share(Cz, p, r, c_shares[static_cast<std::size_t>(r)]);
-    }
-    const auto C = from_z_order(Cz, n, levels);
-    std::vector<double> ref(static_cast<std::size_t>(n) * n, 0.0);
-    matmul_add(A.data(), B.data(), ref.data(), n, n, n);
-    err = max_abs_diff(C, ref);
-  }
-  return finish(m, verify, err);
+  return run({.alg = Alg::kCaps,
+              .n = n,
+              .k = k,
+              .caps_schedule = opts.schedule,
+              .caps_cutoff = opts.local_cutoff,
+              .seed = seed},
+             mp, verify);
 }
 
 RunResult run_nbody(int n, int p, int c, const core::MachineParams& mp,
                     bool verify, std::uint64_t seed) {
-  topo::TeamGrid grid(p, c);
-  sim::MachineConfig cfg = observed_config(mp);
-  cfg.p = p;
-  attach_fold(cfg, [&] { return foldmap_nbody(p, c); });
-  const bool ghost = ghost_mode(cfg, verify);
-  sim::Machine m(cfg);
-  Rng rng(seed);
-  std::vector<double> parts;
-  if (!ghost) parts = random_particles(n, rng);
-  const int P = grid.cols();
-  const int nb = n / P;
-  std::vector<std::vector<double>> force_blocks(
-      ghost ? 0 : static_cast<std::size_t>(P));
-  m.run([&](sim::Comm& comm) {
-    const int i = grid.row_of(comm.rank());
-    const int j = grid.col_of(comm.rank());
-    if (i != 0) {
-      nbody_replicated(comm, grid, n, {}, {});
-      return;
-    }
-    if (ghost) {
-      nbody_replicated(
-          comm, grid, n,
-          sim::ConstPayload::ghost(static_cast<std::size_t>(nb) *
-                                   kParticleWords),
-          sim::Payload::ghost(static_cast<std::size_t>(nb) * kForceWords));
-      return;
-    }
-    auto mine = std::span<const double>(parts).subspan(
-        static_cast<std::size_t>(j) * nb * kParticleWords,
-        static_cast<std::size_t>(nb) * kParticleWords);
-    std::vector<double> f(static_cast<std::size_t>(nb) * kForceWords, 0.0);
-    nbody_replicated(comm, grid, n, mine, f);
-    force_blocks[static_cast<std::size_t>(j)] = std::move(f);
-  });
-  double err = 0.0;
-  if (verify) {
-    const auto ref = direct_forces(parts);
-    std::vector<double> got;
-    for (const auto& blk : force_blocks) {
-      got.insert(got.end(), blk.begin(), blk.end());
-    }
-    err = max_abs_diff(got, ref);
-  }
-  return finish(m, verify, err);
+  return run({.alg = Alg::kNBody, .n = n, .c = c, .p = p, .seed = seed}, mp,
+             verify);
 }
 
 RunResult run_lu(int n, int nb, int q, int c, const core::MachineParams& mp,
                  bool verify, std::uint64_t seed) {
-  BlockCyclic bc{n, nb, q};
-  bc.validate();
-  sim::MachineConfig cfg = observed_config(mp);
-  const bool ghost = ghost_mode(cfg, verify);
-  Rng rng(seed);
-  std::vector<double> A;
-  std::vector<std::vector<double>> local;
-  if (!ghost) {
-    A = diagonally_dominant_matrix(n, rng);
-    // Scatter block-cyclically over the q×q (layer-0) grid.
-    local.assign(static_cast<std::size_t>(q) * q,
-                 std::vector<double>(bc.local_words(), 0.0));
-    for (int I = 0; I < bc.nt(); ++I) {
-      for (int J = 0; J < bc.nt(); ++J) {
-        auto& dst = local[static_cast<std::size_t>(I % q) * q + (J % q)];
-        for (int r = 0; r < nb; ++r) {
-          std::copy_n(
-              A.data() + static_cast<std::size_t>(I * nb + r) * n + J * nb,
-              nb,
-              dst.data() + bc.local_offset(I, J) +
-                  static_cast<std::size_t>(r) * nb);
-        }
-      }
-    }
-  }
-
-  double err = 0.0;
-  if (c <= 1) {
-    topo::Grid2D grid(q);
-    cfg.p = grid.p();
-    attach_fold(cfg, [&] { return foldmap_lu(n, nb, q, c); });
-    sim::Machine m(cfg);
-    m.run([&](sim::Comm& comm) {
-      if (ghost) {
-        lu_2d(comm, grid, bc, sim::Payload::ghost(bc.local_words()));
-      } else {
-        lu_2d(comm, grid, bc, local[static_cast<std::size_t>(comm.rank())]);
-      }
-    });
-    if (verify) {
-      auto serial = A;
-      lu_factor_inplace(serial, n);
-      for (int I = 0; I < bc.nt(); ++I) {
-        for (int J = 0; J < bc.nt(); ++J) {
-          const auto& src =
-              local[static_cast<std::size_t>(I % q) * q + (J % q)];
-          for (int r = 0; r < nb; ++r) {
-            for (int cc = 0; cc < nb; ++cc) {
-              const double want =
-                  serial[static_cast<std::size_t>(I * nb + r) * n + J * nb +
-                         cc];
-              const double got = src[bc.local_offset(I, J) +
-                                     static_cast<std::size_t>(r) * nb + cc];
-              err = std::max(err, std::abs(want - got));
-            }
-          }
-        }
-      }
-    }
-    return finish(m, verify, err);
-  }
-  topo::Grid3D grid(q, c);
-  cfg.p = grid.p();
-  attach_fold(cfg, [&] { return foldmap_lu(n, nb, q, c); });
-  sim::Machine m(cfg);
-  m.run([&](sim::Comm& comm) {
-    if (grid.layer_of(comm.rank()) != 0) {
-      lu_25d(comm, grid, bc, {});
-    } else if (ghost) {
-      lu_25d(comm, grid, bc, sim::Payload::ghost(bc.local_words()));
-    } else {
-      const int r = grid.row_of(comm.rank());
-      const int cc = grid.col_of(comm.rank());
-      lu_25d(comm, grid, bc, local[static_cast<std::size_t>(r) * q + cc]);
-    }
-  });
-  if (verify) {
-    auto serial = A;
-    lu_factor_inplace(serial, n);
-    for (int I = 0; I < bc.nt(); ++I) {
-      for (int J = 0; J < bc.nt(); ++J) {
-        const auto& src = local[static_cast<std::size_t>(I % q) * q + (J % q)];
-        for (int r = 0; r < nb; ++r) {
-          for (int cc = 0; cc < nb; ++cc) {
-            const double want =
-                serial[static_cast<std::size_t>(I * nb + r) * n + J * nb +
-                       cc];
-            const double got = src[bc.local_offset(I, J) +
-                                   static_cast<std::size_t>(r) * nb + cc];
-            err = std::max(err, std::abs(want - got));
-          }
-        }
-      }
-    }
-  }
-  return finish(m, verify, err);
+  return run(
+      {.alg = Alg::kLu, .n = n, .q = q, .c = c, .nb = nb, .seed = seed}, mp,
+      verify);
 }
 
 RunResult run_fft(int r_dim, int c_dim, int p, AllToAllKind kind,
                   const core::MachineParams& mp, bool verify,
                   std::uint64_t seed) {
-  const int n = r_dim * c_dim;
-  sim::MachineConfig cfg = observed_config(mp);
-  cfg.p = p;
-  attach_fold(cfg, [&] { return foldmap_fft(p); });
-  const bool ghost = ghost_mode(cfg, verify);
-  sim::Machine m(cfg);
-  Rng rng(seed);
-  std::vector<double> x;
-  if (!ghost) {
-    x.resize(2 * static_cast<std::size_t>(n));
-    rng.fill_uniform(x, -1.0, 1.0);
-  }
-  const int cl = c_dim / p;
-  const int rl = r_dim / p;
-  std::vector<std::vector<double>> rows(
-      ghost ? 0 : static_cast<std::size_t>(p));
-  m.run([&](sim::Comm& comm) {
-    const int h = comm.rank();
-    if (ghost) {
-      fft_parallel(comm, n, r_dim, c_dim,
-                   sim::ConstPayload::ghost(
-                       2 * static_cast<std::size_t>(r_dim) * cl),
-                   sim::Payload::ghost(
-                       2 * static_cast<std::size_t>(c_dim) * rl),
-                   kind);
-      return;
-    }
-    std::vector<double> cols(2 * static_cast<std::size_t>(r_dim) * cl);
-    for (int jl = 0; jl < cl; ++jl) {
-      const int j2 = h * cl + jl;
-      for (int j1 = 0; j1 < r_dim; ++j1) {
-        cols[2 * (static_cast<std::size_t>(jl) * r_dim + j1)] =
-            x[2 * (static_cast<std::size_t>(j1) * c_dim + j2)];
-        cols[2 * (static_cast<std::size_t>(jl) * r_dim + j1) + 1] =
-            x[2 * (static_cast<std::size_t>(j1) * c_dim + j2) + 1];
-      }
-    }
-    std::vector<double> out(2 * static_cast<std::size_t>(c_dim) * rl);
-    fft_parallel(comm, n, r_dim, c_dim, cols, out, kind);
-    rows[static_cast<std::size_t>(h)] = std::move(out);
-  });
-  double err = 0.0;
-  if (verify) {
-    const auto ref = naive_dft(x, n);
-    for (int k1 = 0; k1 < r_dim; ++k1) {
-      const auto& blk = rows[static_cast<std::size_t>(k1 / rl)];
-      for (int k2 = 0; k2 < c_dim; ++k2) {
-        const std::size_t src =
-            2 * (static_cast<std::size_t>(k1 % rl) * c_dim + k2);
-        const std::size_t dst =
-            2 * (static_cast<std::size_t>(k2) * r_dim + k1);
-        err = std::max(err, std::abs(blk[src] - ref[dst]));
-        err = std::max(err, std::abs(blk[src + 1] - ref[dst + 1]));
-      }
-    }
-  }
-  return finish(m, verify, err);
+  return run({.alg = Alg::kFft,
+              .p = p,
+              .r_dim = r_dim,
+              .c_dim = c_dim,
+              .fft_bruck = kind == AllToAllKind::kBruck,
+              .seed = seed},
+             mp, verify);
 }
 
 RunResult run_tsqr(int rows_local, int b, int p,
                    const core::MachineParams& mp, bool verify,
                    std::uint64_t seed) {
-  ALGE_REQUIRE(rows_local >= b && b >= 1 && p >= 1,
-               "tsqr needs rows_local >= b >= 1 and p >= 1");
-  sim::MachineConfig cfg = observed_config(mp);
-  cfg.p = p;
-  attach_fold(cfg, [&] { return foldmap_tsqr(p); });
-  const bool ghost = ghost_mode(cfg, verify);
-  sim::Machine m(cfg);
-  Rng rng(seed);
-  std::vector<double> A;
-  const std::size_t lw = static_cast<std::size_t>(rows_local) * b;
-  if (!ghost) A = random_matrix(rows_local * p, b, rng);
-  std::vector<double> r(static_cast<std::size_t>(b) * b, 0.0);
-  m.run([&](sim::Comm& comm) {
-    if (ghost) {
-      const std::size_t b2 = static_cast<std::size_t>(b) * b;
-      tsqr(comm, b, sim::ConstPayload::ghost(lw),
-           comm.rank() == 0 ? sim::Payload::ghost(b2) : sim::Payload{});
-      return;
-    }
-    auto mine = std::span<const double>(A).subspan(
-        lw * static_cast<std::size_t>(comm.rank()), lw);
-    std::span<double> out =
-        comm.rank() == 0 ? std::span<double>(r) : std::span<double>{};
-    tsqr(comm, b, mine, out);
-  });
-  double err = 0.0;
-  if (verify) {
-    // QᵀQ = I  =>  AᵀA = RᵀR: the factorization-independent check (R is
-    // only unique up to row signs, so compare Gram matrices, not entries).
-    auto gram = [b](std::span<const double> a, int rows) {
-      std::vector<double> g(static_cast<std::size_t>(b) * b, 0.0);
-      for (int i = 0; i < b; ++i) {
-        for (int j = 0; j < b; ++j) {
-          double s = 0.0;
-          for (int row = 0; row < rows; ++row) {
-            s += a[static_cast<std::size_t>(row) * b + i] *
-                 a[static_cast<std::size_t>(row) * b + j];
-          }
-          g[static_cast<std::size_t>(i) * b + j] = s;
-        }
-      }
-      return g;
-    };
-    err = max_abs_diff(gram(r, b), gram(A, rows_local * p));
-  }
-  return finish(m, verify, err);
+  return run(
+      {.alg = Alg::kTsqr, .n = rows_local, .p = p, .nb = b, .seed = seed}, mp,
+      verify);
 }
 
 }  // namespace alge::algs::harness

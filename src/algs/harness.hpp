@@ -1,9 +1,11 @@
-// One-call experiment harness: build a simulated machine, distribute a
-// random problem, run a distributed algorithm, optionally verify the result
-// against a sequential reference, and report the measured counters and
-// Eq. (2) energy. Used by the benches (bench/) and the examples
-// (examples/) so every experiment exercises the same code paths the tests
-// verify.
+// One-call experiment harness: run a registered algorithm
+// (algs/registry.hpp) on the virtual-clock simulator, optionally verify the
+// result against the sequential reference, and report the measured
+// counters and Eq. (2) energy. The run_* entry points are thin wrappers
+// over run(); the benches (bench/) and the examples (examples/) call them,
+// so every experiment exercises the same per-rank programs the transports
+// and the tests run. Inputs are generated once per run and shared by every
+// rank; ghost runs generate none and keep no per-rank outputs.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +14,7 @@
 
 #include "algs/fft/fft.hpp"
 #include "algs/matmul/distributed.hpp"
+#include "algs/registry.hpp"
 #include "algs/strassen/caps.hpp"
 #include "core/params.hpp"
 #include "sim/machine.hpp"
@@ -79,6 +82,13 @@ struct RunResult {
   double words_per_proc() const { return totals.words_sent_max; }
   double msgs_per_proc() const { return totals.msgs_sent_max; }
 };
+
+/// Run `pr` on a Machine built from the calling thread's observer, folded
+/// when the observer asks for it and the algorithm has a fold map.
+/// verify=true checks the outputs against the sequential reference; ghost
+/// machines have no outputs and reject it.
+RunResult run(const Problem& pr, const core::MachineParams& mp,
+              bool verify = false);
 
 /// 2.5D (c=1: 2D Cannon; c=q: 3D) matrix multiplication, p = q²c ranks.
 RunResult run_mm25d(int n, int q, int c, const core::MachineParams& mp,

@@ -1,6 +1,5 @@
 #include "chaos/differential.hpp"
 
-#include <cmath>
 #include <ostream>
 #include <utility>
 
@@ -39,127 +38,15 @@ core::MachineParams tuned_params() {
   return mp;
 }
 
-/// Valid grid parameters per size class; see effective_p for the mapping.
-struct Mm25dShape {
-  int q;
-  int c;
-};
-int isqrt(int p) {
-  int q = static_cast<int>(std::sqrt(static_cast<double>(p)));
-  while ((q + 1) * (q + 1) <= p) ++q;
-  while (q > 1 && q * q > p) --q;
-  return q;
-}
-
-Mm25dShape mm25d_shape(int p) {
-  // q = 2 keeps problems tiny; c absorbs the rest when p is a multiple of
-  // q² — but only while c divides q (p = 8 -> the 2×2×2 grid). Perfect
-  // squares of q >= 3 run the q×q 2D grid instead — the size classes
-  // fold-mode sweeps use, since Cannon only folds nontrivially for q >= 3.
-  if (p % 4 == 0 && (p / 4 == 1 || p / 4 == 2)) return {2, p / 4};
-  const int q = isqrt(p);
-  if (q >= 3 && q * q == p) return {q, 1};
-  return {2, 1};
-}
-
-/// FFT needs a power-of-two rank count (R and C are powers of two and p
-/// divides both); size classes round down.
-int fft_p(int p) {
-  int v = 1;
-  while (2 * v <= p) v *= 2;
-  return v;
-}
-
-RunResult dispatch(const CaseSpec& spec, bool verify) {
-  namespace h = algs::harness;
-  const int p = spec.p;
-  const auto seed = spec.problem_seed;
-  const core::MachineParams& mp = spec.params;
-  switch (spec.alg) {
-    case Alg::kMm25d: {
-      const auto [q, c] = mm25d_shape(p);
-      return h::run_mm25d(8 * q, q, c, mp, verify, seed);
-    }
-    case Alg::kSumma: {
-      const int q = isqrt(p);
-      return h::run_summa(8 * q, q, mp, verify, seed);
-    }
-    case Alg::kCaps:
-      // CAPS runs on 7^k ranks; k = 1 is the smallest nontrivial tree,
-      // and n = 14 is the smallest even size with 7 | n² (share layout).
-      return h::run_caps(14, 1, mp, {}, verify, seed);
-    case Alg::kNbody: {
-      const int c = p % 2 == 0 ? 2 : 1;
-      return h::run_nbody(4 * (p / c), p, c, mp, verify, seed);
-    }
-    case Alg::kLu: {
-      const auto [q, c] = mm25d_shape(p);
-      return h::run_lu(8 * q, 4, q, c, mp, verify, seed);
-    }
-    case Alg::kTsqr:
-      return h::run_tsqr(8, 4, p, mp, verify, seed);
-    case Alg::kFft: {
-      const int fp = fft_p(p);
-      return h::run_fft(2 * fp, 2 * fp, fp, algs::AllToAllKind::kDirect, mp,
-                        verify, seed);
-    }
-  }
-  throw invalid_argument_error("unknown algorithm");
+/// The registry's problem for a case: the algorithm's shape at size class
+/// spec.p, with the case's problem seed.
+algs::Problem problem_of(const CaseSpec& spec) {
+  algs::Problem pr = algs::entry(spec.alg).chaos_shape(spec.p);
+  pr.seed = spec.problem_seed;
+  return pr;
 }
 
 }  // namespace
-
-const char* alg_name(Alg alg) {
-  switch (alg) {
-    case Alg::kMm25d: return "mm25d";
-    case Alg::kSumma: return "summa";
-    case Alg::kCaps: return "caps";
-    case Alg::kNbody: return "nbody";
-    case Alg::kLu: return "lu";
-    case Alg::kTsqr: return "tsqr";
-    case Alg::kFft: return "fft";
-  }
-  return "?";
-}
-
-Alg parse_alg(std::string_view name) {
-  for (Alg a : all_algs()) {
-    if (name == alg_name(a)) return a;
-  }
-  throw invalid_argument_error(
-      strfmt("unknown algorithm '%.*s' (have: mm25d, summa, caps, nbody, "
-             "lu, tsqr, fft)",
-             static_cast<int>(name.size()), name.data()));
-}
-
-const std::vector<Alg>& all_algs() {
-  static const std::vector<Alg> algs = {Alg::kMm25d, Alg::kSumma, Alg::kCaps,
-                                        Alg::kNbody, Alg::kLu,   Alg::kTsqr,
-                                        Alg::kFft};
-  return algs;
-}
-
-int effective_p(Alg alg, int p) {
-  switch (alg) {
-    case Alg::kMm25d:
-    case Alg::kLu: {
-      const auto [q, c] = mm25d_shape(p);
-      return q * q * c;
-    }
-    case Alg::kSumma: {
-      const int q = isqrt(p);
-      return q * q;
-    }
-    case Alg::kCaps:
-      return 7;
-    case Alg::kNbody:
-    case Alg::kTsqr:
-      return p;
-    case Alg::kFft:
-      return fft_p(p);
-  }
-  return p;
-}
 
 bool RunSignature::identical_to(const RunSignature& o) const {
   return ranks == o.ranks && totals == o.totals && makespan == o.makespan &&
@@ -197,8 +84,9 @@ RunSignature run_case(const CaseSpec& spec, const ChaosConfig& chaos) {
   algs::harness::ScopedRunObserver scope(std::move(obs));
   // Ghost runs have no output, so verification only makes sense in full
   // mode (the harness rejects the combination outright).
-  const RunResult res =
-      dispatch(spec, /*verify=*/chaos.data_mode == sim::DataMode::kFull);
+  const RunResult res = algs::harness::run(
+      problem_of(spec), spec.params,
+      /*verify=*/chaos.data_mode == sim::DataMode::kFull);
   sig.totals = res.totals;
   sig.makespan = res.makespan;
   sig.energy = res.energy.breakdown;
@@ -288,7 +176,7 @@ DiffReport explore(const DiffOptions& opts) {
   ALGE_REQUIRE(opts.seeds >= 1, "need at least one seed");
   DiffReport rep;
   std::ostream* out = opts.out;
-  for (Alg alg : opts.algs) {
+  for (algs::Alg alg : opts.algs) {
     for (int p : opts.ps) {
       ++rep.cases;
       CaseSpec spec;
@@ -296,6 +184,8 @@ DiffReport explore(const DiffOptions& opts) {
       spec.p = p;
       spec.problem_seed = opts.problem_seed;
       spec.params = tuned_params();
+      // Registry names are string literals, so the view is NUL-terminated.
+      const char* name = algs::to_string(alg).data();
 
       RunSignature base;
       try {
@@ -304,7 +194,7 @@ DiffReport explore(const DiffOptions& opts) {
         ++rep.failures;
         if (out != nullptr) {
           *out << strfmt("FAIL %s p=%d: baseline threw: %s\n",
-                         alg_name(alg), p, e.what());
+                         name, p, e.what());
         }
         continue;
       }
@@ -325,7 +215,7 @@ DiffReport explore(const DiffOptions& opts) {
               *out << strfmt(
                   "FAIL %s p=%d schedule seed %d: differs from round-robin "
                   "baseline at %s\n",
-                  alg_name(alg), p, s,
+                  name, p, s,
                   first_difference(base, sig).c_str());
             }
           }
@@ -334,7 +224,7 @@ DiffReport explore(const DiffOptions& opts) {
           ++sched_bad;
           if (out != nullptr) {
             *out << strfmt("FAIL %s p=%d schedule seed %d: threw: %s\n",
-                           alg_name(alg), p, s, e.what());
+                           name, p, s, e.what());
           }
         }
       }
@@ -361,7 +251,7 @@ DiffReport explore(const DiffOptions& opts) {
               ++fault_bad;
               if (out != nullptr) {
                 *out << strfmt("FAIL %s p=%d plan=%s seed %d: %s\n",
-                               alg_name(alg), p, plan_name.c_str(), s,
+                               name, p, plan_name.c_str(), s,
                                err.c_str());
               }
             }
@@ -371,7 +261,7 @@ DiffReport explore(const DiffOptions& opts) {
             if (out != nullptr) {
               *out << strfmt(
                   "FAIL %s p=%d plan=%s seed %d: did not converge: %s\n",
-                  alg_name(alg), p, plan_name.c_str(), s, e.what());
+                  name, p, plan_name.c_str(), s, e.what());
             }
           }
         }
@@ -381,9 +271,9 @@ DiffReport explore(const DiffOptions& opts) {
         *out << strfmt(
             "%-6s p=%d (runs on %d ranks): %d/%d schedules bit-identical, "
             "%d/%d fault runs converged (%llu faults injected)\n",
-            alg_name(alg), p, effective_p(alg, p), opts.seeds - sched_bad,
-            opts.seeds, case_fault_runs - fault_bad, case_fault_runs,
-            static_cast<unsigned long long>(injected));
+            name, p, algs::entry(alg).world_size(problem_of(spec)),
+            opts.seeds - sched_bad, opts.seeds, case_fault_runs - fault_bad,
+            case_fault_runs, static_cast<unsigned long long>(injected));
       }
     }
   }
@@ -430,7 +320,7 @@ GhostDiffReport ghost_explore(const GhostDiffOptions& opts) {
   ALGE_REQUIRE(opts.seeds >= 1, "need at least one seed");
   GhostDiffReport rep;
   std::ostream* out = opts.out;
-  for (Alg alg : opts.algs) {
+  for (algs::Alg alg : opts.algs) {
     for (int p : opts.ps) {
       ++rep.cases;
       CaseSpec spec;
@@ -438,6 +328,8 @@ GhostDiffReport ghost_explore(const GhostDiffOptions& opts) {
       spec.p = p;
       spec.problem_seed = opts.problem_seed;
       spec.params = tuned_params();
+      // Registry names are string literals, so the view is NUL-terminated.
+      const char* name = algs::to_string(alg).data();
 
       // One fault-free pairing, then every plan × seed. Each entry is a
       // (label, config) template; the pair loop runs it in both modes.
@@ -475,7 +367,7 @@ GhostDiffReport ghost_explore(const GhostDiffOptions& opts) {
             if (out != nullptr) {
               *out << strfmt(
                   "FAIL %s p=%d %s: ghost cost signature differs at %s\n",
-                  alg_name(alg), p, pairing.label.c_str(),
+                  name, p, pairing.label.c_str(),
                   first_cost_difference(full, ghost).c_str());
             }
           }
@@ -483,7 +375,7 @@ GhostDiffReport ghost_explore(const GhostDiffOptions& opts) {
           ++rep.failures;
           ++case_bad;
           if (out != nullptr) {
-            *out << strfmt("FAIL %s p=%d %s: threw: %s\n", alg_name(alg), p,
+            *out << strfmt("FAIL %s p=%d %s: threw: %s\n", name, p,
                            pairing.label.c_str(), e.what());
           }
         }
@@ -491,7 +383,7 @@ GhostDiffReport ghost_explore(const GhostDiffOptions& opts) {
       if (out != nullptr && opts.verbose) {
         *out << strfmt("%-6s p=%d (runs on %d ranks): %zu/%zu full/ghost "
                        "pairs bit-identical\n",
-                       alg_name(alg), p, effective_p(alg, p),
+                       name, p, algs::entry(alg).world_size(problem_of(spec)),
                        pairings.size() - static_cast<std::size_t>(case_bad),
                        pairings.size());
       }
@@ -509,7 +401,7 @@ FoldDiffReport fold_explore(const FoldDiffOptions& opts) {
   ALGE_REQUIRE(opts.seeds >= 1, "need at least one seed");
   FoldDiffReport rep;
   std::ostream* out = opts.out;
-  for (Alg alg : opts.algs) {
+  for (algs::Alg alg : opts.algs) {
     for (int p : opts.ps) {
       ++rep.cases;
       CaseSpec spec;
@@ -517,6 +409,8 @@ FoldDiffReport fold_explore(const FoldDiffOptions& opts) {
       spec.p = p;
       spec.problem_seed = opts.problem_seed;
       spec.params = tuned_params();
+      // Registry names are string literals, so the view is NUL-terminated.
+      const char* name = algs::to_string(alg).data();
 
       // One fault-free pairing (the case that actually folds), then every
       // plan × seed (faults force the per-fiber fallback on the "folded"
@@ -563,7 +457,7 @@ FoldDiffReport fold_explore(const FoldDiffOptions& opts) {
               *out << strfmt(
                   "FAIL %s p=%d %s: folded cost signature differs at %s "
                   "(fold %s)\n",
-                  alg_name(alg), p, pairing.label.c_str(),
+                  name, p, pairing.label.c_str(),
                   first_cost_difference(fiber, folded).c_str(),
                   folded.fold_active ? "active" : "fell back");
             }
@@ -572,7 +466,7 @@ FoldDiffReport fold_explore(const FoldDiffOptions& opts) {
           ++rep.failures;
           ++case_bad;
           if (out != nullptr) {
-            *out << strfmt("FAIL %s p=%d %s: threw: %s\n", alg_name(alg), p,
+            *out << strfmt("FAIL %s p=%d %s: threw: %s\n", name, p,
                            pairing.label.c_str(), e.what());
           }
         }
@@ -581,7 +475,7 @@ FoldDiffReport fold_explore(const FoldDiffOptions& opts) {
         *out << strfmt(
             "%-6s p=%d (runs on %d ranks): %zu/%zu fiber/folded pairs "
             "bit-identical, %d folded\n",
-            alg_name(alg), p, effective_p(alg, p),
+            name, p, algs::entry(alg).world_size(problem_of(spec)),
             pairings.size() - static_cast<std::size_t>(case_bad),
             pairings.size(), case_folded);
       }

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "algs/registry.hpp"
 #include "chaos/fault_plan.hpp"
 #include "core/costs.hpp"
 #include "core/params.hpp"
@@ -30,19 +31,12 @@
 
 namespace alge::chaos {
 
-/// Algorithms under differential test (the repo's full distributed set).
-enum class Alg { kMm25d, kSumma, kCaps, kNbody, kLu, kTsqr, kFft };
-
-const char* alg_name(Alg alg);
-/// Parse "mm25d" etc.; throws invalid_argument_error on unknown names.
-Alg parse_alg(std::string_view name);
-const std::vector<Alg>& all_algs();
-
 /// One concrete run: algorithm + requested machine size + problem seed.
-/// The harness maps `p` to valid per-algorithm grid parameters (CAPS, for
-/// example, always runs on 7^k ranks); `p` is a size class, not a promise.
+/// The registry's chaos_shape maps `p` to valid per-algorithm grid
+/// parameters (CAPS, for example, always runs on 7 ranks); `p` is a size
+/// class, not a promise.
 struct CaseSpec {
-  Alg alg = Alg::kMm25d;
+  algs::Alg alg = algs::Alg::kMm25d;
   int p = 4;
   std::uint64_t problem_seed = 1;
   core::MachineParams params;
@@ -92,12 +86,8 @@ struct RunSignature {
 /// caller decides whether that is expected.
 RunSignature run_case(const CaseSpec& spec, const ChaosConfig& chaos);
 
-/// The per-alg machine-size mapping run_case uses (exposed for reports):
-/// the rank count the algorithm actually runs on for size class `p`.
-int effective_p(Alg alg, int p);
-
 struct DiffOptions {
-  std::vector<Alg> algs = all_algs();
+  std::vector<algs::Alg> algs = algs::registered();
   std::vector<int> ps = {4, 8};
   int seeds = 32;  ///< schedule seeds (and fault seeds) per case
   /// Bundled plan names to run; "none" is skipped (it is the baseline).
@@ -126,7 +116,7 @@ DiffReport explore(const DiffOptions& opts);
 /// Ghost-payload differential sweep options. Smaller seed count than
 /// DiffOptions by default: every comparison is a *pair* of runs.
 struct GhostDiffOptions {
-  std::vector<Alg> algs = all_algs();
+  std::vector<algs::Alg> algs = algs::registered();
   std::vector<int> ps = {4, 8};
   int seeds = 4;  ///< fault seeds per (case, plan)
   /// Bundled plan names to pair up; "none" is skipped (the fault-free
@@ -157,7 +147,7 @@ GhostDiffReport ghost_explore(const GhostDiffOptions& opts);
 /// Folded-execution differential sweep options. The default size classes
 /// include an odd perfect square so Cannon (q >= 3) genuinely folds.
 struct FoldDiffOptions {
-  std::vector<Alg> algs = all_algs();
+  std::vector<algs::Alg> algs = algs::registered();
   std::vector<int> ps = {4, 9};
   int seeds = 2;  ///< fault seeds per (case, plan)
   /// Bundled plan names to pair up; faulted machines fall back to fibers,

@@ -10,24 +10,6 @@ namespace alge::engine {
 
 namespace {
 
-constexpr struct {
-  Alg alg;
-  std::string_view name;
-} kAlgNames[] = {
-    {Alg::kMm25d, "mm25d"},
-    {Alg::kSumma, "summa"},
-    {Alg::kCaps, "caps"},
-    {Alg::kNBody, "nbody"},
-    {Alg::kLu, "lu"},
-    {Alg::kFft, "fft"},
-    {Alg::kTsqr, "tsqr"},
-    {Alg::kCollBcast, "coll_bcast"},
-    {Alg::kCollReduce, "coll_reduce"},
-    {Alg::kCollAllgather, "coll_allgather"},
-    {Alg::kCollA2aDirect, "coll_a2a_direct"},
-    {Alg::kCollA2aBruck, "coll_a2a_bruck"},
-};
-
 int get_int(const json::Value& v, std::string_view key) {
   const double d = v.at(key).as_double();
   // Casting a double outside int's range is undefined behaviour.
@@ -68,23 +50,6 @@ core::MachineParams machine_params_from_json(const json::Value& v) {
   mp.mem_words = v.at("mem_words").as_double();
   mp.max_msg_words = v.at("max_msg_words").as_double();
   return mp;
-}
-
-std::string_view to_string(Alg alg) {
-  for (const auto& e : kAlgNames) {
-    if (e.alg == alg) return e.name;
-  }
-  ALGE_CHECK(false, "unnamed Alg value %d", static_cast<int>(alg));
-  return {};
-}
-
-Alg alg_from_string(std::string_view name) {
-  for (const auto& e : kAlgNames) {
-    if (e.name == name) return e.alg;
-  }
-  throw invalid_argument_error(
-      strfmt("unknown algorithm \"%.*s\"", static_cast<int>(name.size()),
-             name.data()));
 }
 
 json::Value ExperimentSpec::to_json() const {

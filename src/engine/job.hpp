@@ -16,6 +16,7 @@
 #include <string>
 #include <string_view>
 
+#include "algs/registry.hpp"
 #include "core/costs.hpp"
 #include "core/params.hpp"
 #include "sim/machine.hpp"
@@ -23,25 +24,11 @@
 
 namespace alge::engine {
 
-/// Everything the runner knows how to execute: the six harness algorithms
-/// plus the collective microbenchmarks (used by ablation_collectives).
-enum class Alg {
-  kMm25d,          ///< 2.5D matmul (c=1: Cannon 2D; c=q: 3D), p = q²c
-  kSumma,          ///< SUMMA 2D baseline, p = q²
-  kCaps,           ///< CAPS Strassen, p = 7^k
-  kNBody,          ///< replicating n-body, p ranks in c teams
-  kLu,             ///< block-cyclic LU (2D or 2.5D), p = q²c
-  kFft,            ///< four-step FFT, n = r_dim·c_dim
-  kTsqr,           ///< TSQR tree QR: n rows per rank × nb columns, p ranks
-  kCollBcast,      ///< binomial broadcast of payload_words
-  kCollReduce,     ///< binomial reduce of payload_words
-  kCollAllgather,  ///< ring allgather of payload_words per rank
-  kCollA2aDirect,  ///< direct all-to-all, payload_words per peer
-  kCollA2aBruck,   ///< Bruck all-to-all, payload_words per peer
-};
-
-std::string_view to_string(Alg alg);
-Alg alg_from_string(std::string_view name);
+/// Everything the runner knows how to execute: the seven registered
+/// algorithms plus the collective microbenchmarks (ablation_collectives).
+using Alg = algs::Alg;
+using algs::alg_from_string;
+using algs::to_string;
 
 /// MachineParams <-> JSON in the spec's canonical field order. Shared with
 /// src/serve, whose requests carry explicit machine parameters in exactly
@@ -49,28 +36,14 @@ Alg alg_from_string(std::string_view name);
 json::Value machine_params_to_json(const core::MachineParams& mp);
 core::MachineParams machine_params_from_json(const json::Value& v);
 
-struct ExperimentSpec {
-  Alg alg = Alg::kMm25d;
+/// The problem (algorithm, dimensions, options, seed — algs::Problem; an
+/// algorithm reads only the fields it needs) plus everything else that
+/// determines a run.
+struct ExperimentSpec : algs::Problem {
   core::MachineParams params;
 
-  // Problem / grid dimensions; an algorithm reads only the fields it needs
-  // (matching the harness entry points), the rest stay at their defaults.
-  int n = 0;      ///< problem size (matrix dim, particles, FFT points)
-  int q = 0;      ///< grid edge (mm25d/summa/lu)
-  int c = 0;      ///< replication factor / team count
-  int p = 0;      ///< rank count (nbody/fft/collectives)
-  int k = 0;      ///< CAPS levels (p = 7^k)
-  int nb = 0;     ///< LU block size
-  int r_dim = 0;  ///< FFT row dimension
-  int c_dim = 0;  ///< FFT column dimension
   int payload_words = 0;  ///< collective payload per rank/peer
-
-  bool ring_replication = false;   ///< mm25d: ring instead of tree bcast
-  std::string caps_schedule;       ///< CAPS {B,D}* schedule ("" = all-BFS)
-  int caps_cutoff = 32;            ///< CAPS local Strassen cutoff
-  bool fft_bruck = false;          ///< FFT transpose: Bruck vs direct
-  bool verify = false;             ///< check against the sequential reference
-  std::uint64_t seed = 1;
+  bool verify = false;    ///< check against the sequential reference
 
   // Chaos axes (src/chaos): both default-inert. Serialized only when set,
   // so existing cache keys (and cached results) stay valid.
@@ -94,7 +67,7 @@ struct ExperimentSpec {
   // the registered backend executor (engine/backend.hpp). Default-inert and
   // serialized only when set, like the axes above, so existing cache keys
   // are unchanged. Real backends require the fault/ghost/fold axes to stay
-  // at their defaults and verify=false.
+  // at their defaults; verify checks their outputs like the simulator's.
   std::string transport;
 
   json::Value to_json() const;

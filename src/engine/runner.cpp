@@ -114,7 +114,7 @@ ExperimentResult run_collective(const ExperimentSpec& spec) {
 }  // namespace
 
 ExperimentResult execute(const ExperimentSpec& spec) {
-  using namespace algs;
+  namespace harness = algs::harness;
   if (!spec.transport.empty()) {
     // Transport axis, resolved before every other axis: a real backend
     // executes the whole spec itself (and rejects incompatible axes), so
@@ -194,46 +194,8 @@ ExperimentResult execute(const ExperimentSpec& spec) {
     inner.fault_plan.clear();
     return execute(inner);
   }
-  switch (spec.alg) {
-    case Alg::kMm25d: {
-      Mm25dOptions opts;
-      opts.ring_replication = spec.ring_replication;
-      return from_run(harness::run_mm25d(spec.n, spec.q, spec.c, spec.params,
-                                         spec.verify, spec.seed, opts));
-    }
-    case Alg::kSumma:
-      return from_run(harness::run_summa(spec.n, spec.q, spec.params,
-                                         spec.verify, spec.seed));
-    case Alg::kCaps: {
-      CapsOptions opts;
-      opts.schedule = spec.caps_schedule;
-      opts.local_cutoff = spec.caps_cutoff;
-      return from_run(harness::run_caps(spec.n, spec.k, spec.params, opts,
-                                        spec.verify, spec.seed));
-    }
-    case Alg::kNBody:
-      return from_run(harness::run_nbody(spec.n, spec.p, spec.c, spec.params,
-                                         spec.verify, spec.seed));
-    case Alg::kLu:
-      return from_run(harness::run_lu(spec.n, spec.nb, spec.q, spec.c,
-                                      spec.params, spec.verify, spec.seed));
-    case Alg::kFft:
-      return from_run(harness::run_fft(
-          spec.r_dim, spec.c_dim, spec.p,
-          spec.fft_bruck ? AllToAllKind::kBruck : AllToAllKind::kDirect,
-          spec.params, spec.verify, spec.seed));
-    case Alg::kTsqr:
-      return from_run(harness::run_tsqr(spec.n, spec.nb, spec.p, spec.params,
-                                        spec.verify, spec.seed));
-    case Alg::kCollBcast:
-    case Alg::kCollReduce:
-    case Alg::kCollAllgather:
-    case Alg::kCollA2aDirect:
-    case Alg::kCollA2aBruck:
-      return run_collective(spec);
-  }
-  ALGE_CHECK(false, "unhandled Alg value %d", static_cast<int>(spec.alg));
-  return {};
+  if (algs::find(spec.alg) == nullptr) return run_collective(spec);
+  return from_run(harness::run(spec, spec.params, spec.verify));
 }
 
 ExperimentResult execute_traced(const ExperimentSpec& spec,

@@ -23,12 +23,12 @@ std::uint32_t read_be32(const char* p) {
          (std::uint32_t{u[2]} << 8) | std::uint32_t{u[3]};
 }
 
+}  // namespace
+
 void set_nodelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
-
-}  // namespace
 
 void append_frame(std::string& out, std::string_view payload) {
   const auto len = static_cast<std::uint32_t>(payload.size());

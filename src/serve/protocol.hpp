@@ -80,4 +80,9 @@ int listen_tcp(int port, int backlog, int* bound_port);
 /// returned fd has TCP_NODELAY set (the protocol is small-frame RPC).
 int connect_tcp(const std::string& host, int port);
 
+/// Turn off Nagle's algorithm on a connected TCP socket. Every socket that
+/// carries request/response or rank-to-rank frames sets it on both ends: a
+/// Nagled end holds a small frame back until the peer's delayed ACK.
+void set_nodelay(int fd);
+
 }  // namespace alge::serve

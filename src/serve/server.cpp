@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -54,8 +53,7 @@ void Server::accept_loop() {
       ::close(fd);
       return;
     }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    set_nodelay(fd);
     // A peer that stops reading cannot pin a worker forever during
     // shutdown: writes time out and the handler exits.
     timeval tv{60, 0};

@@ -1,8 +1,9 @@
 // The transport side of the engine's backend-executor seam
-// (engine/backend.hpp): registers "shm" and "tcp" executors that turn an
-// ExperimentSpec into a per-rank program (transport/programs.hpp), run it
-// for real, and rebuild the ExperimentResult from the per-rank model
-// counters exactly as the simulator would.
+// (engine/backend.hpp): registers "shm" and "tcp" executors that prepare
+// an ExperimentSpec's registry program (algs/registry.hpp), run it for
+// real, and rebuild the ExperimentResult from the per-rank model counters
+// exactly as the simulator would — verified against the sequential
+// reference when the spec asks.
 #pragma once
 
 #include "engine/job.hpp"
@@ -17,9 +18,8 @@ void register_engine_backends();
 
 /// Execute `spec` on `backend` directly (the registered executors call
 /// this). Requires the default-inert axes: no chaos, full data, fiber exec
-/// mode, verify=false (output checking is the conformance suite's job —
-/// tests/test_transport_conformance.cpp compares real-backend outputs and
-/// counters against the simulator's).
+/// mode. spec.verify checks the gathered rank outputs with the registry's
+/// verification, as the simulator path does.
 engine::ExperimentResult execute_on(Backend backend,
                                     const engine::ExperimentSpec& spec);
 

@@ -1,299 +1,43 @@
 #include "transport/programs.hpp"
 
-#include <algorithm>
-#include <span>
-
-#include "algs/fft/fft.hpp"
-#include "algs/lu/distributed.hpp"
-#include "algs/lu/local.hpp"
-#include "algs/matmul/distributed.hpp"
-#include "algs/matmul/local.hpp"
-#include "algs/nbody/nbody.hpp"
-#include "algs/qr/tsqr.hpp"
-#include "algs/strassen/caps.hpp"
-#include "algs/strassen/layout.hpp"
-#include "sim/comm.hpp"
-#include "support/common.hpp"
-#include "support/rng.hpp"
-#include "topo/grid.hpp"
+#include "algs/registry.hpp"
 
 namespace alge::transport {
 
 namespace {
 
-using algs::BlockCyclic;
-
-/// Row-major (bi, bj) block of an n×n matrix on a q×q grid — the harness's
-/// slicing, reproduced here so every rank can carve its share out of the
-/// regenerated whole.
-std::vector<double> block_of(const std::vector<double>& m, int n, int q,
-                             int bi, int bj) {
-  const int nb = n / q;
-  std::vector<double> out(static_cast<std::size_t>(nb) * nb);
-  for (int r = 0; r < nb; ++r) {
-    for (int c = 0; c < nb; ++c) {
-      out[static_cast<std::size_t>(r) * nb + c] =
-          m[static_cast<std::size_t>(bi * nb + r) * n + (bj * nb + c)];
-    }
-  }
-  return out;
-}
-
-/// Rank (row, col)'s block-cyclic share of A, laid out per BlockCyclic.
-std::vector<double> lu_local_blocks(const std::vector<double>& a,
-                                    const BlockCyclic& bc, int row, int col) {
-  std::vector<double> dst(bc.local_words(), 0.0);
-  for (int I = 0; I < bc.nt(); ++I) {
-    if (I % bc.q != row) continue;
-    for (int J = 0; J < bc.nt(); ++J) {
-      if (J % bc.q != col) continue;
-      for (int r = 0; r < bc.nb; ++r) {
-        std::copy_n(a.data() +
-                        static_cast<std::size_t>(I * bc.nb + r) * bc.n +
-                        J * bc.nb,
-                    bc.nb,
-                    dst.data() + bc.local_offset(I, J) +
-                        static_cast<std::size_t>(r) * bc.nb);
-      }
-    }
-  }
-  return dst;
-}
-
-AlgProgram make_mm25d(const ProgramSpec& spec) {
-  const topo::Grid3D grid(spec.q, spec.c);
-  AlgProgram out;
-  out.p = grid.p();
-  out.program = [spec](sim::Comm& comm, std::vector<double>& output) {
-    const topo::Grid3D g(spec.q, spec.c);
-    algs::Mm25dOptions opts;
-    opts.ring_replication = spec.ring_replication;
-    if (g.layer_of(comm.rank()) != 0) {
-      algs::mm_25d(comm, g, spec.n, {}, {}, {}, opts);
-      return;
-    }
-    Rng rng(spec.seed);
-    const auto A = algs::random_matrix(spec.n, spec.n, rng);
-    const auto B = algs::random_matrix(spec.n, spec.n, rng);
-    const int i = g.row_of(comm.rank());
-    const int j = g.col_of(comm.rank());
-    const auto a = block_of(A, spec.n, spec.q, i, j);
-    const auto b = block_of(B, spec.n, spec.q, i, j);
-    output.assign(a.size(), 0.0);
-    algs::mm_25d(comm, g, spec.n, a, b, output, opts);
-  };
-  return out;
-}
-
-AlgProgram make_summa(const ProgramSpec& spec) {
-  const topo::Grid2D grid(spec.q);
-  AlgProgram out;
-  out.p = grid.p();
-  out.program = [spec](sim::Comm& comm, std::vector<double>& output) {
-    const topo::Grid2D g(spec.q);
-    Rng rng(spec.seed);
-    const auto A = algs::random_matrix(spec.n, spec.n, rng);
-    const auto B = algs::random_matrix(spec.n, spec.n, rng);
-    const int i = g.row_of(comm.rank());
-    const int j = g.col_of(comm.rank());
-    const auto a = block_of(A, spec.n, spec.q, i, j);
-    const auto b = block_of(B, spec.n, spec.q, i, j);
-    output.assign(a.size(), 0.0);
-    algs::summa_2d(comm, g, spec.n, a, b, output);
-  };
-  return out;
-}
-
-AlgProgram make_caps(const ProgramSpec& spec) {
-  AlgProgram out;
-  out.p = algs::caps_ranks(spec.k);
-  out.program = [spec, p = out.p](sim::Comm& comm,
-                                  std::vector<double>& output) {
-    algs::CapsOptions opts;
-    opts.schedule = spec.caps_schedule;
-    opts.local_cutoff = spec.caps_cutoff;
-    const int levels =
-        spec.caps_schedule.empty()
-            ? spec.k
-            : static_cast<int>(spec.caps_schedule.size());
-    Rng rng(spec.seed);
-    const auto A = algs::random_matrix(spec.n, spec.n, rng);
-    const auto B = algs::random_matrix(spec.n, spec.n, rng);
-    const auto Az = algs::to_z_order(A, spec.n, levels);
-    const auto Bz = algs::to_z_order(B, spec.n, levels);
-    const auto a = algs::extract_share(Az, p, comm.rank());
-    const auto b = algs::extract_share(Bz, p, comm.rank());
-    output.assign(a.size(), 0.0);
-    algs::caps_multiply(comm, spec.n, spec.k, a, b, output, opts);
-  };
-  return out;
-}
-
-AlgProgram make_nbody(const ProgramSpec& spec) {
-  const topo::TeamGrid grid(spec.p, spec.c);
-  (void)grid;
-  AlgProgram out;
-  out.p = spec.p;
-  out.program = [spec](sim::Comm& comm, std::vector<double>& output) {
-    const topo::TeamGrid g(spec.p, spec.c);
-    if (g.row_of(comm.rank()) != 0) {
-      algs::nbody_replicated(comm, g, spec.n, {}, {});
-      return;
-    }
-    Rng rng(spec.seed);
-    const auto parts = algs::random_particles(spec.n, rng);
-    const int P = g.cols();
-    const int nb = spec.n / P;
-    const int j = g.col_of(comm.rank());
-    const auto mine = std::span<const double>(parts).subspan(
-        static_cast<std::size_t>(j) * nb * algs::kParticleWords,
-        static_cast<std::size_t>(nb) * algs::kParticleWords);
-    output.assign(static_cast<std::size_t>(nb) * algs::kForceWords, 0.0);
-    algs::nbody_replicated(comm, g, spec.n, mine, output);
-  };
-  return out;
-}
-
-AlgProgram make_lu(const ProgramSpec& spec) {
-  BlockCyclic bc{spec.n, spec.nb, spec.q};
-  bc.validate();
-  AlgProgram out;
-  if (spec.c <= 1) {
-    const topo::Grid2D grid(spec.q);
-    out.p = grid.p();
-    out.program = [spec, bc](sim::Comm& comm, std::vector<double>& output) {
-      const topo::Grid2D g(spec.q);
-      Rng rng(spec.seed);
-      const auto A = algs::diagonally_dominant_matrix(spec.n, rng);
-      output = lu_local_blocks(A, bc, g.row_of(comm.rank()),
-                               g.col_of(comm.rank()));
-      algs::lu_2d(comm, g, bc, output);
-    };
-    return out;
-  }
-  const topo::Grid3D grid(spec.q, spec.c);
-  out.p = grid.p();
-  out.program = [spec, bc](sim::Comm& comm, std::vector<double>& output) {
-    const topo::Grid3D g(spec.q, spec.c);
-    if (g.layer_of(comm.rank()) != 0) {
-      algs::lu_25d(comm, g, bc, {});
-      return;
-    }
-    Rng rng(spec.seed);
-    const auto A = algs::diagonally_dominant_matrix(spec.n, rng);
-    output = lu_local_blocks(A, bc, g.row_of(comm.rank()),
-                             g.col_of(comm.rank()));
-    algs::lu_25d(comm, g, bc, output);
-  };
-  return out;
-}
-
-AlgProgram make_fft(const ProgramSpec& spec) {
-  AlgProgram out;
-  out.p = spec.p;
-  out.program = [spec](sim::Comm& comm, std::vector<double>& output) {
-    const int n = spec.r_dim * spec.c_dim;
-    const int cl = spec.c_dim / spec.p;
-    const int rl = spec.r_dim / spec.p;
-    Rng rng(spec.seed);
-    std::vector<double> x(2 * static_cast<std::size_t>(n));
-    rng.fill_uniform(x, -1.0, 1.0);
-    const int h = comm.rank();
-    std::vector<double> cols(2 * static_cast<std::size_t>(spec.r_dim) * cl);
-    for (int jl = 0; jl < cl; ++jl) {
-      const int j2 = h * cl + jl;
-      for (int j1 = 0; j1 < spec.r_dim; ++j1) {
-        cols[2 * (static_cast<std::size_t>(jl) * spec.r_dim + j1)] =
-            x[2 * (static_cast<std::size_t>(j1) * spec.c_dim + j2)];
-        cols[2 * (static_cast<std::size_t>(jl) * spec.r_dim + j1) + 1] =
-            x[2 * (static_cast<std::size_t>(j1) * spec.c_dim + j2) + 1];
-      }
-    }
-    output.assign(2 * static_cast<std::size_t>(spec.c_dim) * rl, 0.0);
-    algs::fft_parallel(comm, n, spec.r_dim, spec.c_dim, cols, output,
-                       spec.fft_bruck ? algs::AllToAllKind::kBruck
-                                      : algs::AllToAllKind::kDirect);
-  };
-  return out;
-}
-
-AlgProgram make_tsqr(const ProgramSpec& spec) {
-  AlgProgram out;
-  out.p = spec.p;
-  out.program = [spec](sim::Comm& comm, std::vector<double>& output) {
-    const int rows_local = spec.n;
-    const int b = spec.nb;
-    const std::size_t lw = static_cast<std::size_t>(rows_local) * b;
-    Rng rng(spec.seed);
-    const auto A = algs::random_matrix(rows_local * spec.p, b, rng);
-    const auto mine = std::span<const double>(A).subspan(
-        lw * static_cast<std::size_t>(comm.rank()), lw);
-    if (comm.rank() == 0) {
-      output.assign(static_cast<std::size_t>(b) * b, 0.0);
-      algs::tsqr(comm, b, mine, output);
-    } else {
-      algs::tsqr(comm, b, mine, {});
-    }
-  };
-  return out;
+/// The fields ProgramSpec and algs::Problem share, copied either way.
+template <typename To, typename From>
+void copy_dims(To& to, const From& from) {
+  to.n = from.n;
+  to.q = from.q;
+  to.c = from.c;
+  to.p = from.p;
+  to.k = from.k;
+  to.nb = from.nb;
+  to.r_dim = from.r_dim;
+  to.c_dim = from.c_dim;
+  to.fft_bruck = from.fft_bruck;
+  to.caps_schedule = from.caps_schedule;
+  to.caps_cutoff = from.caps_cutoff;
+  to.ring_replication = from.ring_replication;
+  to.seed = from.seed;
 }
 
 }  // namespace
 
 AlgProgram make_program(const ProgramSpec& spec) {
-  if (spec.alg == "mm25d") return make_mm25d(spec);
-  if (spec.alg == "summa") return make_summa(spec);
-  if (spec.alg == "caps") return make_caps(spec);
-  if (spec.alg == "nbody") return make_nbody(spec);
-  if (spec.alg == "lu") return make_lu(spec);
-  if (spec.alg == "fft") return make_fft(spec);
-  if (spec.alg == "tsqr") return make_tsqr(spec);
-  ALGE_REQUIRE(false, "unknown program '%s' (mm25d, summa, caps, nbody, "
-               "lu, fft, tsqr)",
-               spec.alg.c_str());
-  return {};
-}
-
-const std::vector<std::string>& program_names() {
-  static const std::vector<std::string> names{
-      "mm25d", "summa", "caps", "nbody", "lu", "fft", "tsqr"};
-  return names;
+  algs::Problem pr;
+  pr.alg = algs::entry(spec.alg).alg;
+  copy_dims(pr, spec);
+  algs::Program prog = algs::prepare(pr);
+  return {prog.p, std::move(prog.rank)};
 }
 
 ProgramSpec conformance_spec(const std::string& alg) {
   ProgramSpec spec;
   spec.alg = alg;
-  if (alg == "mm25d") {
-    // c=2 exercises the cross-layer replication/reduction traffic: p = 8.
-    spec.n = 8;
-    spec.q = 2;
-    spec.c = 2;
-  } else if (alg == "summa") {
-    spec.n = 8;
-    spec.q = 2;
-  } else if (alg == "caps") {
-    spec.n = 14;  // 7 | n so the 7 ranks share n² evenly; even for level 0
-    spec.k = 1;   // p = 7
-  } else if (alg == "nbody") {
-    spec.n = 8;
-    spec.p = 4;
-    spec.c = 2;
-  } else if (alg == "lu") {
-    spec.n = 8;
-    spec.nb = 2;
-    spec.q = 2;
-    spec.c = 1;
-  } else if (alg == "fft") {
-    spec.r_dim = 4;
-    spec.c_dim = 4;
-    spec.p = 4;
-  } else if (alg == "tsqr") {
-    spec.n = 4;   // rows per rank
-    spec.nb = 2;  // columns b
-    spec.p = 4;
-  } else {
-    ALGE_REQUIRE(false, "unknown program '%s'", alg.c_str());
-  }
+  copy_dims(spec, algs::entry(alg).conformance());
   return spec;
 }
 

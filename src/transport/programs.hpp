@@ -1,29 +1,24 @@
-// Self-contained per-rank programs for the 7 algorithms, runnable on any
-// transport backend.
+// Field-by-field problem specs for the transport programs, kept for
+// callers that name the algorithm by string and set each dimension in turn
+// (the transport-real benchmark workload).
 //
-// The harness (algs/harness.cpp) generates inputs once in the driver and
-// hands each fiber a slice — fine inside one process, useless across fork
-// or separate shells. These programs instead regenerate the deterministic
-// inputs from Rng(seed) *inside every rank* (same seed → same matrix on
-// every process) and carve out the rank's share locally, so the identical
-// closure runs under the simulator, in a forked shm child, or in a rank's
-// own shell over TCP. Each rank publishes its natural local result (its C
-// block, force block, factored blocks, FFT rows, or R) through the
-// RankProgram output vector; the conformance suite compares those outputs
-// bitwise across backends.
+// The programs themselves are the registry's (algs/registry.hpp):
+// make_program looks the name up there, generates the inputs once in this
+// process and returns the per-rank program over them, so the identical
+// closure runs under the simulator, on rank threads, in a forked shm child
+// (which inherits the inputs) or in a rank's own shell over TCP. Each rank
+// publishes its natural local result through the RankProgram output.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "transport/run.hpp"
 
 namespace alge::transport {
 
 /// Problem parameters for one algorithm run; field meanings match
-/// engine::ExperimentSpec (n/q/c/p/k/nb/r_dim/c_dim and the per-algorithm
-/// options).
+/// algs::Problem (n/q/c/p/k/nb/r_dim/c_dim and the per-algorithm options).
 struct ProgramSpec {
   std::string alg;  ///< mm25d, summa, caps, nbody, lu, fft, tsqr
   int n = 8;
@@ -50,11 +45,7 @@ struct AlgProgram {
 /// an unknown name or invalid dimensions.
 AlgProgram make_program(const ProgramSpec& spec);
 
-/// The 7 algorithm names make_program accepts, in conformance order.
-const std::vector<std::string>& program_names();
-
-/// A small, fast parameterization of `alg` for the cross-backend
-/// conformance matrix (p ≤ 8 everywhere).
+/// The registry's conformance problem for `alg` (p <= 8 everywhere).
 ProgramSpec conformance_spec(const std::string& alg);
 
 }  // namespace alge::transport

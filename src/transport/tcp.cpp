@@ -102,7 +102,10 @@ int accept_with_deadline(int listen_fd, Clock::time_point deadline) {
     const int rv = ::poll(&pfd, 1, left_ms);
     if (rv > 0) {
       const int c = ::accept(listen_fd, nullptr, nullptr);
-      if (c >= 0) return c;
+      if (c >= 0) {
+        serve::set_nodelay(c);
+        return c;
+      }
       if (errno == EINTR || errno == ECONNABORTED) continue;
       throw TransportError(
           strfmt("tcp mesh: accept failed: %s", std::strerror(errno)));

@@ -183,7 +183,7 @@ TEST(FoldDifferential, AllAlgorithmsMatchFibersBitForBit) {
 
 TEST(FoldDifferential, FaultedRunFallsBackAndStillMatches) {
   chaos::CaseSpec spec;
-  spec.alg = chaos::Alg::kMm25d;
+  spec.alg = algs::Alg::kMm25d;
   spec.p = 9;
   chaos::ChaosConfig fiber_cc;
   fiber_cc.data_mode = sim::DataMode::kGhost;

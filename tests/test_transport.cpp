@@ -4,11 +4,17 @@
 // dispatch).
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "algs/registry.hpp"
 #include "engine/backend.hpp"
 #include "engine/job.hpp"
 #include "engine/runner.hpp"
@@ -17,6 +23,7 @@
 #include "transport/engine_backend.hpp"
 #include "transport/programs.hpp"
 #include "transport/run.hpp"
+#include "transport/tcp.hpp"
 #include "transport/wire.hpp"
 
 namespace alge::transport {
@@ -103,10 +110,51 @@ TEST(RunReportMath, TotalsAndEnergyMatchTheMachine) {
   EXPECT_EQ(a.breakdown.total(), b.breakdown.total());
 }
 
+// Both ends of every mesh link run without Nagle: the accepting side as
+// well as the connecting one. p = 3 covers both accept paths, rank 0's
+// rendezvous listener and rank 1's mesh listener (which rank 2 dials).
+TEST(TcpMesh, BothEndsOfEveryLinkSetNodelay) {
+  constexpr int kP = 3;
+  int port = 0;
+  const int listen_fd = serve::listen_tcp(0, kP, &port);
+  std::vector<std::vector<int>> fds(kP);
+  std::vector<std::string> errors(kP);
+  std::vector<std::thread> ranks;
+  for (int r = 0; r < kP; ++r) {
+    ranks.emplace_back([&, r] {
+      try {
+        fds[r] = tcp_mesh(r, kP, r == 0 ? listen_fd : -1, "127.0.0.1", port,
+                          10.0);
+      } catch (const std::exception& e) {
+        errors[r] = e.what();
+      }
+    });
+  }
+  for (std::thread& t : ranks) t.join();
+  ::close(listen_fd);
+  for (int r = 0; r < kP; ++r) {
+    ASSERT_EQ(errors[r], "") << "rank " << r;
+    for (int peer = 0; peer < kP; ++peer) {
+      if (peer == r) continue;
+      int on = 0;
+      socklen_t len = sizeof(on);
+      ASSERT_EQ(::getsockopt(fds[r][peer], IPPROTO_TCP, TCP_NODELAY, &on,
+                             &len),
+                0);
+      EXPECT_NE(on, 0) << "rank " << r << " -> " << peer;
+    }
+  }
+  for (const std::vector<int>& row : fds) {
+    for (int fd : row) {
+      if (fd >= 0) ::close(fd);
+    }
+  }
+}
+
 TEST(Programs, NamesCoverAllSevenAlgorithms) {
-  const std::vector<std::string>& names = program_names();
-  ASSERT_EQ(names.size(), 7u);
-  for (const std::string& name : names) {
+  ASSERT_EQ(algs::entries().size(), 7u);
+  for (const algs::AlgEntry& e : algs::entries()) {
+    const std::string name(e.name());
     const AlgProgram ap = make_program(conformance_spec(name));
     EXPECT_GE(ap.p, 1) << name;
     EXPECT_LE(ap.p, 8) << name;  // the conformance matrix stays small
@@ -176,8 +224,26 @@ TEST(EngineAxis, RealBackendRejectsSimulatorOnlyAxes) {
   spec.chaos_seed = 17;
   EXPECT_THROW(engine::execute(spec), invalid_argument_error);
   spec.chaos_seed = 0;
-  spec.verify = true;
+  spec.exec_mode = sim::ExecMode::kFolded;
   EXPECT_THROW(engine::execute(spec), invalid_argument_error);
+}
+
+// Verification is the registry's, so a real backend checks its gathered
+// outputs against the sequential reference exactly as the simulator does.
+TEST(EngineAxis, RealBackendVerifiesAgainstTheReference) {
+  register_engine_backends();
+  engine::ExperimentSpec spec = small_mm_spec();
+  spec.verify = true;
+  const engine::ExperimentResult simmed = engine::execute(spec);
+  ASSERT_TRUE(simmed.verified);
+  for (const char* backend : {"shm", "tcp"}) {
+    spec.transport = backend;
+    const engine::ExperimentResult real = engine::execute(spec);
+    EXPECT_TRUE(real.verified) << backend;
+    EXPECT_LT(real.max_abs_error, 1e-9) << backend;
+    EXPECT_EQ(real.max_abs_error, simmed.max_abs_error) << backend;
+    EXPECT_TRUE(real.totals == simmed.totals) << backend;
+  }
 }
 
 // The real execution path reproduces the simulator's result: same model,

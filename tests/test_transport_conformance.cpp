@@ -11,6 +11,9 @@
 //     and wire words_recv plus self-delivered words_recv reproduces the
 //     model's words_recv.
 //
+//   * every backend's gathered outputs pass the registry's verification
+//     against the sequential reference.
+//
 // This is the repo's ground-truth check that the simulator's cost ledger
 // describes traffic a real transport would carry, message for message.
 
@@ -19,9 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "algs/registry.hpp"
 #include "sim/comm.hpp"
 #include "sim/machine.hpp"
-#include "transport/programs.hpp"
 #include "transport/run.hpp"
 
 namespace alge::transport {
@@ -90,17 +93,32 @@ RunReport reference_via_machine(const RunOptions& opts,
   return report;
 }
 
+/// The registry's verification of one backend's gathered outputs.
+void expect_verified(const algs::Program& prog, const RunReport& run,
+                     const std::string& label) {
+  algs::Outputs outputs;
+  for (const RankReport& r : run.ranks) outputs.push_back(r.output);
+  EXPECT_LT(prog.verify(outputs), 1e-9) << label << " vs the reference";
+}
+
+std::vector<std::string> registry_names() {
+  std::vector<std::string> names;
+  for (const algs::AlgEntry& e : algs::entries()) names.emplace_back(e.name());
+  return names;
+}
+
 class ConformanceTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ConformanceTest, SimShmTcpAgree) {
   const std::string alg = GetParam();
-  const AlgProgram ap = make_program(conformance_spec(alg));
-  const RunOptions opts = options_for(ap.p);
+  const algs::Program prog = algs::prepare(algs::entry(alg).conformance());
+  const RunOptions opts = options_for(prog.p);
 
-  const RunReport sim_run = run_sim(opts, ap.program);
+  const RunReport sim_run = run_sim(opts, prog.rank);
+  expect_verified(prog, sim_run, alg + "/sim");
 
   // The refactored simulator is bit-identical to the pre-seam Machine path.
-  const RunReport machine_run = reference_via_machine(opts, ap.program);
+  const RunReport machine_run = reference_via_machine(opts, prog.rank);
   for (int r = 0; r < opts.p; ++r) {
     const auto& a = machine_run.ranks[static_cast<std::size_t>(r)];
     const auto& b = sim_run.ranks[static_cast<std::size_t>(r)];
@@ -108,15 +126,17 @@ TEST_P(ConformanceTest, SimShmTcpAgree) {
     ASSERT_TRUE(a.model == b.model) << alg << " rank " << r;
   }
 
-  const RunReport shm_run = run_shm(opts, ap.program);
+  const RunReport shm_run = run_shm(opts, prog.rank);
   expect_conformant(sim_run, shm_run, alg + "/shm");
+  expect_verified(prog, shm_run, alg + "/shm");
 
-  const RunReport tcp_run = run_tcp_threads(opts, ap.program);
+  const RunReport tcp_run = run_tcp_threads(opts, prog.rank);
   expect_conformant(sim_run, tcp_run, alg + "/tcp");
+  expect_verified(prog, tcp_run, alg + "/tcp");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ConformanceTest,
-                         ::testing::ValuesIn(program_names()),
+                         ::testing::ValuesIn(registry_names()),
                          [](const auto& info) { return info.param; });
 
 // A send larger than max_msg_words splits into ceil(k/m) model messages;

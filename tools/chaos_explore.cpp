@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "algs/registry.hpp"
 #include "chaos/differential.hpp"
 #include "support/cli.hpp"
 #include "support/common.hpp"
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
   CliArgs cli;
   cli.add_flag("algs", "all",
                "algorithms to test: all or a comma list of "
-               "mm25d,summa,caps,nbody,lu,tsqr,fft");
+               "mm25d,summa,caps,nbody,lu,fft,tsqr");
   cli.add_flag("p", "4,8", "machine size classes (comma list)");
   cli.add_flag("seeds", "32", "schedule/fault seeds per case");
   cli.add_flag("plans", "all",
@@ -89,7 +90,7 @@ int main(int argc, char** argv) {
     if (cli.get("algs") != "all") {
       opts.algs.clear();
       for (const std::string& name : split_csv(cli.get("algs"))) {
-        opts.algs.push_back(chaos::parse_alg(name));
+        opts.algs.push_back(algs::entry(name).alg);
       }
     }
     opts.ps.clear();

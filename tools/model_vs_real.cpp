@@ -27,11 +27,11 @@
 #include <string>
 #include <vector>
 
+#include "algs/registry.hpp"
 #include "support/cli.hpp"
 #include "support/common.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
-#include "transport/programs.hpp"
 #include "transport/run.hpp"
 
 namespace {
@@ -87,8 +87,13 @@ int main(int argc, char** argv) {
   mp.alpha_t = cli.get_double("alpha-t");
   mp.validate();
 
-  std::vector<std::string> algs = split_csv(cli.get("algs"));
-  if (algs.size() == 1 && algs[0] == "all") algs = transport::program_names();
+  std::vector<std::string> names = split_csv(cli.get("algs"));
+  if (names.size() == 1 && names[0] == "all") {
+    names.clear();
+    for (const algs::AlgEntry& e : algs::entries()) {
+      names.emplace_back(e.name());
+    }
+  }
   const std::vector<std::string> backends = split_csv(cli.get("backends"));
 
   Table t({"alg", "backend", "p", "Eq.(1) T", "Eq.(2) E", "wall s",
@@ -96,11 +101,11 @@ int main(int argc, char** argv) {
   json::Value records = json::Value::array();
   bool all_match = true;
 
-  for (const std::string& alg : algs) {
-    const transport::AlgProgram ap =
-        transport::make_program(transport::conformance_spec(alg));
+  for (const std::string& alg : names) {
+    const algs::Program prog =
+        algs::prepare(algs::entry(alg).conformance());
     transport::RunOptions opts;
-    opts.p = ap.p;
+    opts.p = prog.p;
     opts.params = mp;
     opts.timeout_s = 30.0;
     for (const std::string& bname : backends) {
@@ -108,7 +113,7 @@ int main(int argc, char** argv) {
           transport::backend_from_string(bname);
       const auto t0 = std::chrono::steady_clock::now();
       const transport::RunReport report =
-          transport::run(backend, opts, ap.program);
+          transport::run(backend, opts, prog.rank);
       const double wall =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();

@@ -6,8 +6,8 @@
 //   transport_run --alg=summa --rank=1 --port=7777
 //   ... one shell per rank, up to the world size the spec implies ...
 //
-// Every shell runs the same deterministic per-rank program (inputs are
-// regenerated from --seed inside each rank, so no driver process exists),
+// Every shell runs the same deterministic per-rank program (each shell
+// generates the inputs once from --seed, so no coordinating process exists),
 // connects into the rank mesh via rank 0's rendezvous listener, executes
 // the algorithm for real over TCP, and prints its own rank report: model
 // clock, F/W/S ledger, wire traffic, wall seconds, and the
@@ -21,9 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "algs/registry.hpp"
 #include "support/cli.hpp"
 #include "support/common.hpp"
-#include "transport/programs.hpp"
 #include "transport/run.hpp"
 
 int main(int argc, char** argv) {
@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  transport::ProgramSpec spec =
-      transport::conformance_spec(cli.get("alg"));
+  const algs::AlgEntry& entry = algs::entry(cli.get("alg"));
+  algs::Problem spec = entry.conformance();
   auto override_int = [&](const char* flag, int* field) {
     const int v = static_cast<int>(cli.get_int(flag));
     if (v != 0) *field = v;
@@ -66,25 +66,26 @@ int main(int argc, char** argv) {
   override_int("c-dim", &spec.c_dim);
   spec.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
-  const transport::AlgProgram ap = transport::make_program(spec);
+  const algs::Program prog = algs::prepare(spec);
+  const std::string name(entry.name());
   const int rank = static_cast<int>(cli.get_int("rank"));
-  ALGE_REQUIRE(rank >= 0 && rank < ap.p,
+  ALGE_REQUIRE(rank >= 0 && rank < prog.p,
                "--rank=%d out of range: %s with these dimensions runs %d "
                "ranks",
-               rank, spec.alg.c_str(), ap.p);
+               rank, name.c_str(), prog.p);
 
   transport::RunOptions opts;
-  opts.p = ap.p;
+  opts.p = prog.p;
   opts.params = core::MachineParams::unit();
   opts.timeout_s = cli.get_double("timeout");
 
   std::fprintf(stderr, "[transport_run] %s rank %d of %d, rendezvous %s:%d\n",
-               spec.alg.c_str(), rank, ap.p, cli.get("host").c_str(),
+               name.c_str(), rank, prog.p, cli.get("host").c_str(),
                static_cast<int>(cli.get_int("port")));
   try {
     const transport::RankReport r = transport::run_tcp_rank(
         rank, opts, cli.get("host"),
-        static_cast<int>(cli.get_int("port")), ap.program);
+        static_cast<int>(cli.get_int("port")), prog.rank);
     const bool match =
         r.wire.msgs_sent == r.model.msgs_sent &&
         r.wire.words_sent == r.model.words_sent &&
@@ -96,7 +97,7 @@ int main(int argc, char** argv) {
         "  wire    words_sent=%.0f  msgs_sent=%.0f  words_recv=%.0f  "
         "msgs_recv=%.0f\n"
         "  output  %zu words   wall %.4f s   ledger %s\n",
-        rank, ap.p, spec.alg.c_str(), r.model.clock, r.model.flops,
+        rank, prog.p, name.c_str(), r.model.clock, r.model.flops,
         r.model.words_sent, r.model.msgs_sent, r.wire.words_sent,
         r.wire.msgs_sent, r.wire.words_recv, r.wire.msgs_recv,
         r.output.size(), r.wall_s, match ? "match" : "DIVERGED");
