@@ -1,12 +1,11 @@
 #include "fiber/fiber.hpp"
 
-#include <ucontext.h>
-
 #include <cstdint>
 #include <exception>
 #include <utility>
 
 #include "fiber/ready_set.hpp"
+#include "fiber/stack_pool.hpp"
 #include "support/common.hpp"
 
 // Context-switch mechanism selection.
@@ -31,6 +30,18 @@
 #if defined(__x86_64__) && !defined(ALGE_FIBER_SANITIZED) && \
     !defined(ALGE_FIBER_FORCE_UCONTEXT)
 #define ALGE_FIBER_FAST_SWITCH 1
+#else
+#include <ucontext.h>
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#define ALGE_FIBER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ALGE_FIBER_ASAN 1
+#endif
+#endif
+#if defined(ALGE_FIBER_ASAN)
+#include <sanitizer/common_interface_defs.h>
 #endif
 
 #if defined(ALGE_FIBER_FAST_SWITCH)
@@ -84,13 +95,40 @@ void* prepare_fast_stack(char* base, std::size_t size, void (*entry)()) {
   for (int i = 0; i < 6; ++i) sp[i] = nullptr;
   return sp;
 }
+#else
+// ASan must hear of every ucontext switch. Without these hooks it cannot
+// tell a fiber's stack bounds, skips the unpoisoning a throw asks for, and
+// later reports the redzones of frames the unwinder left behind as
+// overflows. Call asan_leave just before swapcontext (fake_stack nullptr
+// when the leaving fiber is finished) and asan_arrive right after it.
+// No-ops outside ASan builds.
+void asan_leave([[maybe_unused]] void** fake_stack,
+                [[maybe_unused]] const void* to_stack,
+                [[maybe_unused]] std::size_t to_bytes) {
+#if defined(ALGE_FIBER_ASAN)
+  __sanitizer_start_switch_fiber(fake_stack, to_stack, to_bytes);
+#endif
+}
+void asan_arrive([[maybe_unused]] void* fake_stack,
+                 [[maybe_unused]] const void** from_stack,
+                 [[maybe_unused]] std::size_t* from_bytes) {
+#if defined(ALGE_FIBER_ASAN)
+  __sanitizer_finish_switch_fiber(fake_stack, from_stack, from_bytes);
+#endif
+}
 #endif
 }  // namespace
 
 struct Scheduler::Impl {
-  ucontext_t main_ctx{};
 #if defined(ALGE_FIBER_FAST_SWITCH)
   void* main_sp = nullptr;
+#else
+  ucontext_t main_ctx{};
+  // The stack run() is called on, as ASan knows it (asan_arrive in a
+  // fiber's first slice fills these in), and its ASan fake-stack handle.
+  const void* main_stack = nullptr;
+  std::size_t main_stack_bytes = 0;
+  void* main_fake_stack = nullptr;
 #endif
   ReadySet ready;
 };
@@ -98,13 +136,14 @@ struct Scheduler::Impl {
 struct Scheduler::Fiber {
   enum class State { Ready, Blocked, Done };
 
-  // make_unique_for_overwrite: a fiber stack must not be value-initialized
-  // — zeroing would touch (and fault in) every page of every stack up
-  // front, where actual use only ever touches the top few.
+  // The stack comes from the process-wide pool (stack_pool.hpp) untouched:
+  // only the pages a fiber actually uses fault in, and a reused stack
+  // keeps the pages its earlier fibers faulted in.
   explicit Fiber(std::function<void()> f, std::size_t bytes)
-      : fn(std::move(f)),
-        stack(std::make_unique_for_overwrite<char[]>(bytes)),
-        stack_bytes(bytes) {}
+      : fn(std::move(f)), stack(acquire_stack(bytes)), stack_bytes(bytes) {}
+  ~Fiber() { release_stack(stack, stack_bytes); }
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
 
   /// The reason shown in deadlock diagnostics: describe(describe_arg) when
   /// the lazy block() overload was used, block_reason otherwise.
@@ -113,11 +152,13 @@ struct Scheduler::Fiber {
   }
 
   std::function<void()> fn;
-  std::unique_ptr<char[]> stack;
+  char* stack;
   std::size_t stack_bytes;
-  ucontext_t ctx{};
 #if defined(ALGE_FIBER_FAST_SWITCH)
   void* sp = nullptr;  ///< suspended stack pointer (fast-switch mode)
+#else
+  ucontext_t ctx{};
+  void* fake_stack = nullptr;  ///< ASan's handle while suspended
 #endif
   State state = State::Ready;
   bool started = false;
@@ -159,6 +200,10 @@ Scheduler::FiberId Scheduler::spawn(std::function<void()> fn,
 void Scheduler::trampoline() {
   Scheduler* sched = g_active;
   Fiber& self = *sched->fibers_[static_cast<std::size_t>(sched->current_)];
+#if !defined(ALGE_FIBER_FAST_SWITCH)
+  asan_arrive(nullptr, &sched->impl_->main_stack,
+              &sched->impl_->main_stack_bytes);
+#endif
   try {
     self.fn();
   } catch (const FiberCancelled&) {
@@ -172,6 +217,8 @@ void Scheduler::trampoline() {
 #if defined(ALGE_FIBER_FAST_SWITCH)
   alge_fiber_switch(&self.sp, sched->impl_->main_sp);
 #else
+  asan_leave(nullptr, sched->impl_->main_stack,
+             sched->impl_->main_stack_bytes);
   swapcontext(&self.ctx, &sched->impl_->main_ctx);
 #endif
   ALGE_CHECK(false, "resumed a finished fiber");
@@ -220,10 +267,10 @@ void Scheduler::run() {
     if (!f.started) {
       f.started = true;
 #if defined(ALGE_FIBER_FAST_SWITCH)
-      f.sp = prepare_fast_stack(f.stack.get(), f.stack_bytes, &trampoline);
+      f.sp = prepare_fast_stack(f.stack, f.stack_bytes, &trampoline);
 #else
       getcontext(&f.ctx);
-      f.ctx.uc_stack.ss_sp = f.stack.get();
+      f.ctx.uc_stack.ss_sp = f.stack;
       f.ctx.uc_stack.ss_size = f.stack_bytes;
       f.ctx.uc_link = nullptr;
       makecontext(&f.ctx, reinterpret_cast<void (*)()>(&trampoline), 0);
@@ -232,7 +279,9 @@ void Scheduler::run() {
 #if defined(ALGE_FIBER_FAST_SWITCH)
     alge_fiber_switch(&impl_->main_sp, f.sp);
 #else
+    asan_leave(&impl_->main_fake_stack, f.stack, f.stack_bytes);
     swapcontext(&impl_->main_ctx, &f.ctx);
+    asan_arrive(impl_->main_fake_stack, nullptr, nullptr);
 #endif
     current_ = -1;
     if (f.state == Fiber::State::Done) impl_->ready.erase(idx);
@@ -276,7 +325,9 @@ void Scheduler::cancel_all_live() {
 #if defined(ALGE_FIBER_FAST_SWITCH)
     alge_fiber_switch(&impl_->main_sp, f.sp);
 #else
+    asan_leave(&impl_->main_fake_stack, f.stack, f.stack_bytes);
     swapcontext(&impl_->main_ctx, &f.ctx);
+    asan_arrive(impl_->main_fake_stack, nullptr, nullptr);
 #endif
     current_ = -1;
     g_active = prev_active;
@@ -296,7 +347,9 @@ void Scheduler::switch_to_scheduler() {
 #if defined(ALGE_FIBER_FAST_SWITCH)
   alge_fiber_switch(&f.sp, impl_->main_sp);
 #else
+  asan_leave(&f.fake_stack, impl_->main_stack, impl_->main_stack_bytes);
   swapcontext(&f.ctx, &impl_->main_ctx);
+  asan_arrive(f.fake_stack, nullptr, nullptr);
 #endif
   // Resumed: if the scheduler wants us dead, unwind now.
   check_cancel();

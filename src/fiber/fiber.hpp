@@ -65,6 +65,8 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   /// Create a fiber; it becomes runnable but does not start until run().
+  /// Its stack comes from the process-wide pool (stack_pool.hpp) and goes
+  /// back when the Scheduler is destroyed.
   FiberId spawn(std::function<void()> fn,
                 std::size_t stack_bytes = kDefaultStackBytes);
 

@@ -79,7 +79,7 @@ class SimError : public std::runtime_error {
 struct MachineConfig {
   int p = 1;                           ///< number of processors
   core::MachineParams params;          ///< time/energy/capacity constants
-  std::size_t stack_bytes = 512 * 1024;
+  std::size_t stack_bytes = fiber::Scheduler::kDefaultStackBytes;
   /// Interconnect topology; null = fully connected (the paper's flat link
   /// model). With a topology, message latency is charged per hop and the
   /// βe/αe energy terms use hop-weighted traffic.

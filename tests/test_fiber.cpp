@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fiber/fiber.hpp"
 #include "fiber/ready_set.hpp"
+#include "fiber/stack_pool.hpp"
 #include "support/common.hpp"
 
 namespace alge::fiber {
@@ -303,6 +308,181 @@ TEST(ReadySet, ResizeGrowsAndKeepsMembers) {
   r.resize(10);  // never shrinks
   EXPECT_EQ(r.capacity(), 130u);
   EXPECT_TRUE(r.contains(129));
+}
+
+// --- Stack pool -------------------------------------------------------------
+
+/// Address of a local in the calling fiber's frame: fibers running the same
+/// code sit at the same offset from their stack's top, so two such
+/// addresses are equal iff the fibers ran on the same stack.
+[[gnu::noinline]] std::uintptr_t frame_address() {
+  volatile char marker = 0;
+  return reinterpret_cast<std::uintptr_t>(&marker);
+}
+
+std::vector<std::uintptr_t> run_and_record_frames(int fibers) {
+  std::vector<std::uintptr_t> frames(static_cast<std::size_t>(fibers));
+  Scheduler s;
+  for (int i = 0; i < fibers; ++i) {
+    s.spawn([&frames, i] {
+      frames[static_cast<std::size_t>(i)] = frame_address();
+    });
+  }
+  s.run();
+  std::sort(frames.begin(), frames.end());
+  return frames;
+}
+
+TEST(StackPool, ReleasedStacksAreReusedLastInFirstOut) {
+  const std::size_t bytes = Scheduler::kDefaultStackBytes;
+  char* a = acquire_stack(bytes);
+  char* b = acquire_stack(bytes);
+  EXPECT_NE(a, b);
+  release_stack(a, bytes);
+  release_stack(b, bytes);
+  char* first = acquire_stack(bytes);
+  char* second = acquire_stack(bytes);
+  EXPECT_EQ(first, b);
+  EXPECT_EQ(second, a);
+  release_stack(second, bytes);
+  release_stack(first, bytes);
+}
+
+TEST(StackPool, TwoSchedulersInARowRunOnTheSameStacks) {
+  const std::vector<std::uintptr_t> first = run_and_record_frames(8);
+  const std::vector<std::uintptr_t> second = run_and_record_frames(8);
+  EXPECT_EQ(std::adjacent_find(first.begin(), first.end()), first.end())
+      << "two live fibers shared a stack";
+  EXPECT_EQ(first, second);
+}
+
+constexpr std::size_t kDeepTouchBytes = 480 * 1024;
+
+/// Write one byte per 512 of a 480 KiB frame (every page of it) and return
+/// the frame's lowest address.
+[[gnu::noinline]] std::uintptr_t touch_deep() {
+  volatile char buf[kDeepTouchBytes];
+  for (std::size_t i = 0; i < kDeepTouchBytes; i += 512) {
+    buf[i] = static_cast<char>(i >> 9);
+  }
+  for (std::size_t i = 0; i < kDeepTouchBytes; i += 512) {
+    if (buf[i] != static_cast<char>(i >> 9)) return 0;
+  }
+  return reinterpret_cast<std::uintptr_t>(&buf[0]);
+}
+
+TEST(StackPool, FiberCanTouchMostOfItsStackAndTheStackIsReused) {
+  std::uintptr_t deep = 0;
+  {
+    Scheduler s;
+    s.spawn([&] { deep = touch_deep(); });
+    s.run();
+  }
+  ASSERT_NE(deep, 0u);
+  // The next fiber takes the same stack (last in, first out), and runs on
+  // it — deep again — as on a fresh one.
+  std::uintptr_t again = 0;
+  Scheduler s;
+  s.spawn([&] { again = touch_deep(); });
+  s.run();
+  EXPECT_EQ(again, deep);
+}
+
+TEST(StackPool, StackSizesAreNeverMixed) {
+  const std::size_t small = 64 * 1024;
+  const std::size_t big = Scheduler::kDefaultStackBytes;
+  char* s1 = acquire_stack(small);
+  release_stack(s1, small);
+  char* b1 = acquire_stack(big);
+  EXPECT_NE(b1, s1);
+  const auto lo = [](char* p) { return reinterpret_cast<std::uintptr_t>(p); };
+  EXPECT_TRUE(lo(b1) + big <= lo(s1) || lo(s1) + small <= lo(b1))
+      << "a " << big << "-byte stack overlaps a free " << small
+      << "-byte one";
+  char* s2 = acquire_stack(small);
+  EXPECT_EQ(s2, s1);
+  release_stack(b1, big);
+  char* s3 = acquire_stack(small);
+  EXPECT_NE(s3, b1);
+  release_stack(s3, small);
+  release_stack(s2, small);
+
+  // Through the Scheduler: fibers of two sizes alive at once never share.
+  std::vector<std::uintptr_t> frames;
+  Scheduler s;
+  for (int i = 0; i < 8; ++i) {
+    s.spawn([&] { frames.push_back(frame_address()); },
+            i % 2 == 0 ? small : big);
+  }
+  s.run();
+  std::sort(frames.begin(), frames.end());
+  for (std::size_t i = 1; i < frames.size(); ++i) {
+    EXPECT_GE(frames[i] - frames[i - 1], small) << "fibers " << i - 1
+                                                << " and " << i;
+  }
+}
+
+TEST(StackPool, SchedulersOnFourThreadsShareThePool) {
+  // Every fiber stamps a block of its own stack, yields to the other 255
+  // on its thread, and checks the stamp survived: a stack handed to two
+  // live fibers (on any thread) would show as a torn stamp.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 4;
+  constexpr int kFibers = 256;
+  std::array<int, kThreads> torn{};
+  std::array<int, kThreads> finished{};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        Scheduler s;
+        for (int i = 0; i < kFibers; ++i) {
+          s.spawn([&, t, i] {
+            const unsigned stamp = static_cast<unsigned>(t * kFibers + i);
+            volatile unsigned block[64];
+            for (volatile unsigned& w : block) w = stamp;
+            for (int k = 0; k < 4; ++k) Scheduler::active()->yield();
+            for (volatile unsigned& w : block) {
+              if (w != stamp) ++torn[static_cast<std::size_t>(t)];
+            }
+            ++finished[static_cast<std::size_t>(t)];
+          });
+        }
+        s.run();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(torn[static_cast<std::size_t>(t)], 0) << "thread " << t;
+    EXPECT_EQ(finished[static_cast<std::size_t>(t)], kRounds * kFibers)
+        << "thread " << t;
+  }
+}
+
+TEST(StackPool, ThousandFibersMapAtMostSixteenSlabs) {
+  // A stack size no other test (or earlier --gtest_repeat pass) used, so
+  // the pool holds no free stacks of it and must carve all 1000.
+  static std::size_t pass = 0;
+  const std::size_t kBytes = (40 + 4 * pass++) * 1024;
+  constexpr int kFibers = 1000;
+  constexpr std::size_t kMaxSlabs =
+      (kFibers + kStacksPerSlab - 1) / kStacksPerSlab;  // 16
+  const auto run = [&] {
+    Scheduler s;
+    for (int i = 0; i < kFibers; ++i) {
+      s.spawn([] { Scheduler::active()->yield(); }, kBytes);
+    }
+    s.run();
+  };
+  const std::size_t before = stack_slabs_mapped();
+  run();
+  const std::size_t after_first = stack_slabs_mapped();
+  EXPECT_LE(after_first - before, kMaxSlabs);
+  EXPECT_GT(after_first - before, 0u);
+  run();
+  EXPECT_EQ(stack_slabs_mapped(), after_first)
+      << "the second run must reuse the first run's stacks";
 }
 
 }  // namespace

@@ -6,7 +6,11 @@
 // (tools/chaos_explore --ghost=true) exercises only end to end.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <vector>
 
@@ -329,6 +333,83 @@ TEST(GhostEngine, CollectiveBenchMatchesFull) {
   engine::ExperimentSpec g = s;
   g.data_mode = sim::DataMode::kGhost;
   EXPECT_EQ(engine::execute(s), engine::execute(g));
+}
+
+// --- Resident memory of per-fiber rows -----------------------------------
+
+/// Resident set size of this process in MiB (/proc/self/statm).
+double resident_mib() {
+  std::ifstream statm("/proc/self/statm");
+  long pages = 0;
+  long resident = 0;
+  statm >> pages >> resident;
+  return static_cast<double>(resident) *
+         static_cast<double>(::sysconf(_SC_PAGESIZE)) / (1024.0 * 1024.0);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define ALGE_TEST_SANITIZED_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define ALGE_TEST_SANITIZED_ALLOCATOR 1
+#endif
+#endif
+
+TEST(GhostEngine, RepeatedPerFiberRowsKeepResidentMemoryFlat) {
+  // A ghost frontier sweep runs one fiber per rank at p in the thousands,
+  // row after row. Fiber stacks go back to a shared pool and are reused,
+  // so repeating the same mix of rows must leave the resident set where
+  // the first pass put it.
+#if defined(ALGE_TEST_SANITIZED_ALLOCATOR)
+  GTEST_SKIP() << "the sanitizer's allocator keeps freed memory resident "
+                  "(quarantine), so the resident set measures it instead";
+#endif
+  const auto ghost = [](engine::Alg alg) {
+    engine::ExperimentSpec s;
+    s.alg = alg;
+    s.params = core::MachineParams::unit();
+    s.data_mode = sim::DataMode::kGhost;
+    return s;
+  };
+  std::vector<engine::ExperimentSpec> rows;
+  {
+    engine::ExperimentSpec s = ghost(engine::Alg::kMm25d);  // p = 1024
+    s.n = 1024;
+    s.q = 16;
+    s.c = 4;
+    rows.push_back(s);
+    s = ghost(engine::Alg::kSumma);  // p = 576
+    s.n = 1152;
+    s.q = 24;
+    rows.push_back(s);
+    s = ghost(engine::Alg::kNBody);  // p = 1024
+    s.n = 4096;
+    s.p = 1024;
+    s.c = 4;
+    rows.push_back(s);
+    s = ghost(engine::Alg::kFft);  // p = 256
+    s.r_dim = 256;
+    s.c_dim = 256;
+    s.p = 256;
+    rows.push_back(s);
+    s = ghost(engine::Alg::kTsqr);  // p = 2048
+    s.n = 32;
+    s.nb = 4;
+    s.p = 2048;
+    rows.push_back(s);
+  }
+  const auto run_all = [&] {
+    for (const engine::ExperimentSpec& s : rows) engine::execute(s);
+  };
+  run_all();
+  const double first = resident_mib();
+  double peak = first;
+  for (int pass = 0; pass < 5; ++pass) {
+    run_all();
+    peak = std::max(peak, resident_mib());
+  }
+  EXPECT_LE(peak, first * 1.05 + 1.0)
+      << "resident MiB after the first pass: " << first;
 }
 
 TEST(GhostEngine, VerifyingAGhostRunIsRejected) {
