@@ -25,7 +25,6 @@
 // largest q=8192 / k=9 points). Machine: the scaling_mm_energy parameter
 // set with uncapped messages, as in ghost_speedup's frontier row.
 #include <chrono>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -33,6 +32,7 @@
 #include "algs/harness.hpp"
 #include "bench_common.hpp"
 #include "core/params.hpp"
+#include "obs/bench_metrics.hpp"
 #include "sim/fold.hpp"
 #include "support/cli.hpp"
 #include "support/common.hpp"
@@ -147,19 +147,21 @@ int main(int argc, char** argv) {
         .cell(wall, "%.3f")
         .cell(r.makespan, "%.3e")
         .cell(r.energy.total(), "%.3e");
-    json::Value e = json::Value::object();
-    e.set("name", name);
-    e.set("p", r.p);
-    e.set("slots", seen.slots);
-    e.set("folded", folded_row);
-    e.set("seconds", wall);
-    e.set("makespan", r.makespan);
-    e.set("energy", r.energy.total());
-    e.set("flops_per_rank", r.totals.flops_max);
-    e.set("words_per_rank", r.totals.words_sent_max);
-    e.set("msgs_per_rank", r.totals.msgs_sent_max);
-    if (!folded_row) e.set("anchor_identical", anchor_identical);
-    results.push_back(std::move(e));
+    using obs::Better;
+    obs::BenchRecord rec(name);
+    rec.metric("p", r.p, "ranks", Better::kNone)
+        .metric("slots", seen.slots, "fibers", Better::kNone)
+        .metric("makespan", r.makespan, "model time", Better::kLower)
+        .metric("energy", r.energy.total(), "model energy", Better::kLower)
+        .metric("flops_per_rank", r.totals.flops_max, "flops", Better::kLower)
+        .metric("words_per_rank", r.totals.words_sent_max, "words",
+                Better::kLower)
+        .metric("msgs_per_rank", r.totals.msgs_sent_max, "messages",
+                Better::kLower)
+        .info("folded", folded_row)
+        .info("seconds", wall);
+    if (!folded_row) rec.info("anchor_identical", anchor_identical);
+    results.push_back(rec.to_json());
   };
 
   // Parity anchor: fiber-ghost vs folded-ghost on one spec, bit-identical
@@ -257,12 +259,8 @@ int main(int argc, char** argv) {
 
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) {
-    json::Value doc = json::Value::object();
-    doc.set("bench", "frontier");
-    doc.set("results", std::move(results));
-    std::ofstream out(json_path);
-    ALGE_REQUIRE(out.good(), "cannot write %s", json_path.c_str());
-    out << doc.dump() << "\n";
+    obs::write_bench_file(obs::bench_file("frontier", std::move(results)),
+                          json_path);
     std::fprintf(stderr, "[frontier] wrote %s\n", json_path.c_str());
   }
   return ok ? 0 : 1;

@@ -12,13 +12,13 @@
 // full-data dgemm) and the p=4096 ghost-only frontier point that full mode
 // cannot complete in CI time; the committed file is generated that way.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
 
 #include "bench_common.hpp"
 #include "engine/runner.hpp"
+#include "obs/bench_metrics.hpp"
 #include "support/cli.hpp"
 #include "support/common.hpp"
 #include "support/json.hpp"
@@ -81,16 +81,21 @@ int main(int argc, char** argv) {
   bool all_identical = true;
 
   // Every record — compare pairs and ghost-only frontier points alike —
-  // carries the same simulated-cost fields, so bench_diff can track each
-  // sweep's p, makespan, energy and per-rank critical-path costs uniformly
-  // instead of only the wall-clock columns that happen to exist per shape.
-  auto set_costs = [](json::Value& e, const engine::ExperimentResult& r) {
-    e.set("p", r.p);
-    e.set("makespan", r.makespan);
-    e.set("energy", r.energy_total());
-    e.set("flops_per_rank", r.totals.flops_max);
-    e.set("words_per_rank", r.totals.words_sent_max);
-    e.set("msgs_per_rank", r.totals.msgs_sent_max);
+  // carries the same simulated-cost metrics, so bench_diff can track each
+  // sweep's p, makespan, energy and per-rank critical-path costs uniformly.
+  // Wall-clock seconds vary with the machine and go under info.
+  auto costs = [](const std::string& name, const engine::ExperimentResult& r) {
+    using obs::Better;
+    obs::BenchRecord rec(name);
+    rec.metric("p", r.p, "ranks", Better::kNone)
+        .metric("makespan", r.makespan, "model time", Better::kLower)
+        .metric("energy", r.energy_total(), "model energy", Better::kLower)
+        .metric("flops_per_rank", r.totals.flops_max, "flops", Better::kLower)
+        .metric("words_per_rank", r.totals.words_sent_max, "words",
+                Better::kLower)
+        .metric("msgs_per_rank", r.totals.msgs_sent_max, "messages",
+                Better::kLower);
+    return rec;
   };
 
   auto compare = [&](const std::string& name, engine::ExperimentSpec spec) {
@@ -109,14 +114,13 @@ int main(int argc, char** argv) {
         .cell(sg, "%.3f")
         .cell(speedup, "%.1f")
         .cell(identical ? "yes" : "NO");
-    json::Value e = json::Value::object();
-    e.set("name", name);
-    set_costs(e, rf);
-    e.set("full_seconds", sf);
-    e.set("ghost_seconds", sg);
-    e.set("speedup", speedup);
-    e.set("cost_identical", identical);
-    results.push_back(std::move(e));
+    results.push_back(costs(name, rf)
+                          .metric("speedup", speedup, "ratio",
+                                  obs::Better::kHigher)
+                          .info("full_seconds", sf)
+                          .info("ghost_seconds", sg)
+                          .info("cost_identical", identical)
+                          .to_json());
   };
 
   auto ghost_only = [&](const std::string& name,
@@ -131,11 +135,7 @@ int main(int argc, char** argv) {
         .cell(sg, "%.3f")
         .cell("--")
         .cell("--");
-    json::Value e = json::Value::object();
-    e.set("name", name);
-    set_costs(e, rg);
-    e.set("ghost_seconds", sg);
-    results.push_back(std::move(e));
+    results.push_back(costs(name, rg).info("ghost_seconds", sg).to_json());
   };
 
   // micro_sim territory: collectives moving real buffers vs size-only
@@ -208,12 +208,8 @@ int main(int argc, char** argv) {
 
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) {
-    json::Value doc = json::Value::object();
-    doc.set("bench", "ghost");
-    doc.set("results", std::move(results));
-    std::ofstream out(json_path);
-    ALGE_REQUIRE(out.good(), "cannot write %s", json_path.c_str());
-    out << doc.dump() << "\n";
+    obs::write_bench_file(obs::bench_file("ghost", std::move(results)),
+                          json_path);
     std::fprintf(stderr, "[ghost] wrote %s\n", json_path.c_str());
   }
   return all_identical ? 0 : 1;

@@ -12,11 +12,10 @@
 // fault_energy_inflation means faults cost more energy at the optimum, and
 // crossover_generations moving means the 75 GFLOPS/W machine-generation
 // crossover (Figs. 6/7) shifted. CI re-runs this and diffs against the
-// committed BENCH_navigator.json via obs/bench_metrics' "navigator"
-// normalizer.
+// committed BENCH_navigator.json; each metric's better direction is
+// declared where the record is written below.
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "core/codesign.hpp"
 #include "machines/db.hpp"
 #include "navigator/navigator.hpp"
+#include "obs/bench_metrics.hpp"
 #include "support/cli.hpp"
 #include "support/common.hpp"
 #include "support/json.hpp"
@@ -144,31 +144,52 @@ int main(int argc, char** argv) {
                         : std::string("--"))
           .cell(seconds, "%.3f");
 
-      json::Value e = json::Value::object();
-      e.set("name", strfmt("%s gen=%d", sc.model, gen));
-      e.set("model", std::string(sc.model));
-      e.set("generation", gen);
-      e.set("frontier_points", static_cast<int>(rep.model_frontier.size()));
-      e.set("frontier_area", rep.frontier_area);
-      e.set("min_energy_joules", rep.min_energy.E);
-      e.set("min_time_seconds", rep.min_time.T);
-      e.set("gflops_per_watt_at_opt", rep.gflops_per_watt_at_opt);
-      e.set("crossover_generations", rep.crossover_generations);
+      using obs::Better;
+      obs::BenchRecord rec(strfmt("%s gen=%d", sc.model, gen));
+      // A crossover of -1 means "target unreachable": a sentinel, not a
+      // small count, so it goes under info instead of being compared.
+      auto crossover = [&rec](const char* key, int generations) {
+        if (generations < 0) {
+          rec.info(key, generations);
+        } else {
+          rec.metric(key, generations, "generations", Better::kLower);
+        }
+      };
+      rec.info("model", std::string(sc.model))
+          .metric("generation", gen, "halvings", Better::kNone)
+          .metric("frontier_points",
+                  static_cast<double>(rep.model_frontier.size()), "count",
+                  Better::kNone)
+          .metric("frontier_area", rep.frontier_area, "ratio", Better::kLower)
+          .metric("min_energy_joules", rep.min_energy.E, "J", Better::kLower)
+          .metric("min_time_seconds", rep.min_time.T, "s", Better::kLower)
+          .metric("gflops_per_watt_at_opt", rep.gflops_per_watt_at_opt,
+                  "GFLOP/s/W", Better::kHigher);
+      crossover("crossover_generations", rep.crossover_generations);
       if (sim_row) {
-        e.set("measured_frontier_points",
-              static_cast<int>(rep.measured_frontier.size()));
-        e.set("measured_frontier_area", rep.measured_frontier_area);
-        e.set("robust_fraction", rep.robust_fraction);
-        e.set("fault_energy_inflation", rep.fault_energy_inflation);
-        e.set("crossover_generations_faulted",
-              rep.crossover_generations_faulted);
-        e.set("engine_runs", rep.simulated + rep.rescore_runs);
-        e.set("cache_hits", rep.cache_hits);
-        e.set("folded_scored", rep.folded_scored);
-        e.set("fiber_scored", rep.fiber_scored);
+        rec.metric("measured_frontier_points",
+                   static_cast<double>(rep.measured_frontier.size()), "count",
+                   Better::kNone)
+            .metric("measured_frontier_area", rep.measured_frontier_area,
+                    "ratio", Better::kLower)
+            .metric("robust_fraction", rep.robust_fraction, "ratio",
+                    Better::kHigher)
+            .metric("fault_energy_inflation", rep.fault_energy_inflation,
+                    "ratio", Better::kLower);
+        crossover("crossover_generations_faulted",
+                  rep.crossover_generations_faulted);
+        // Fold coverage: a survivor that stops taking the folded fast path
+        // shows up as folded_scored down and fiber_scored up.
+        rec.metric("engine_runs", rep.simulated + rep.rescore_runs, "count",
+                   Better::kNone)
+            .metric("cache_hits", rep.cache_hits, "count", Better::kHigher)
+            .metric("folded_scored", rep.folded_scored, "count",
+                    Better::kHigher)
+            .metric("fiber_scored", rep.fiber_scored, "count",
+                    Better::kLower);
       }
-      e.set("navigate_seconds", seconds);
-      results.push_back(std::move(e));
+      rec.info("navigate_seconds", seconds);
+      results.push_back(rec.to_json());
     }
   }
 
@@ -180,12 +201,8 @@ int main(int argc, char** argv) {
 
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) {
-    json::Value doc = json::Value::object();
-    doc.set("bench", "navigator");
-    doc.set("results", std::move(results));
-    std::ofstream out(json_path);
-    ALGE_REQUIRE(out.good(), "cannot write %s", json_path.c_str());
-    out << doc.dump() << "\n";
+    obs::write_bench_file(obs::bench_file("navigator", std::move(results)),
+                          json_path);
     std::fprintf(stderr, "[navigator] wrote %s\n", json_path.c_str());
   }
   return 0;

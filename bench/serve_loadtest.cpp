@@ -7,7 +7,7 @@
 //                  [--duration=1.0] [--distinct=2048] [--min-qps=100000]
 //                  [--json=PATH]
 //
-// Phases (one result row each, written to --json as {"bench": "serve"}):
+// Phases (one record each, written to --json as bench "serve"):
 //   closed_form_cold       distinct min_energy queries; every one misses the
 //                          answer store and runs the §V closed forms
 //   closed_form_hot_rtt    one repeated query, batch=1 closed loop — the
@@ -32,7 +32,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -41,6 +40,7 @@
 #include "core/opt.hpp"
 #include "engine/runner.hpp"
 #include "machines/db.hpp"
+#include "obs/bench_metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -160,16 +160,19 @@ struct PhaseResult {
   }
 };
 
-json::Value result_json(PhaseResult& r) {
-  json::Value o = json::Value::object();
-  o.set("name", r.name)
-      .set("queries", static_cast<double>(r.queries))
-      .set("seconds", r.seconds)
-      .set("queries_per_sec", r.qps())
-      .set("p50_us", r.quantile(0.50))
-      .set("p99_us", r.quantile(0.99))
-      .set("max_us", r.latency_us.empty() ? 0.0 : r.latency_us.back());
-  return o;
+/// Rates and latency quantiles are compared; the raw query count and the
+/// elapsed seconds scale with --duration, not with service performance, so
+/// they go under info.
+obs::BenchRecord result_record(PhaseResult& r) {
+  using obs::Better;
+  obs::BenchRecord rec(r.name);
+  rec.metric("queries_per_sec", r.qps(), "1/s", Better::kHigher)
+      .metric("p50_us", r.quantile(0.50), "us", Better::kLower)
+      .metric("p99_us", r.quantile(0.99), "us", Better::kLower)
+      .metric("max_us", r.quantile(1.0), "us", Better::kLower)
+      .info("queries", static_cast<double>(r.queries))
+      .info("seconds", r.seconds);
+  return rec;
 }
 
 }  // namespace
@@ -375,27 +378,22 @@ int main(int argc, char** argv) {
   Table t({"phase", "queries", "q/s", "p50_us", "p99_us", "max_us"});
   json::Value results = json::Value::array();
   for (PhaseResult& r : phases) {
-    json::Value row = result_json(r);
     t.row()
         .cell(r.name)
         .cell(r.queries)
         .cell(r.qps(), "%.0f")
-        .cell(row.at("p50_us").as_double(), "%.1f")
-        .cell(row.at("p99_us").as_double(), "%.1f")
-        .cell(row.at("max_us").as_double(), "%.1f");
-    results.push_back(std::move(row));
+        .cell(r.quantile(0.50), "%.1f")
+        .cell(r.quantile(0.99), "%.1f")
+        .cell(r.quantile(1.0), "%.1f");
+    results.push_back(result_record(r).to_json());
   }
   t.print(std::cout);
   std::cout << "\nservice ledger: " << service.stats_json().dump() << "\n";
 
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) {
-    json::Value doc = json::Value::object();
-    doc.set("bench", "serve");
-    doc.set("results", std::move(results));
-    std::ofstream out(json_path);
-    ALGE_REQUIRE(out.good(), "cannot write %s", json_path.c_str());
-    out << doc.dump() << "\n";
+    obs::write_bench_file(obs::bench_file("serve", std::move(results)),
+                          json_path);
     std::fprintf(stderr, "[serve] wrote %s\n", json_path.c_str());
   }
 

@@ -7,18 +7,18 @@
 //   transport_micro [--json=PATH] [--backends=sim,shm,tcp]
 //
 // The committed BENCH_transport.json is generated with the default flags.
-// Everything in the record except wall_seconds is a deterministic model
-// quantity (the ledger travels with the rank), so the CI bench_diff gates
-// those fields tightly; wall_seconds is this machine's clock and is
-// skipped by the normalizer. A conformance failure exits nonzero.
+// Every metric in the record is a deterministic model quantity (the ledger
+// travels with the rank), so the CI bench_diff gates them tightly;
+// wall_seconds is this machine's clock and goes under info. A conformance
+// failure exits nonzero.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "algs/registry.hpp"
 #include "bench_common.hpp"
+#include "obs/bench_metrics.hpp"
 #include "support/cli.hpp"
 #include "support/common.hpp"
 #include "support/json.hpp"
@@ -131,14 +131,18 @@ int main(int argc, char** argv) {
           .cell(ledger.words, "%.0f")
           .cell(wall, "%.4f")
           .cell(ok ? "yes" : "NO");
-      json::Value e = json::Value::object();
-      e.set("name", alg + "." + bname);
-      e.set("p", report.p);
-      e.set("makespan", report.makespan());
-      e.set("ledger_messages_total", ledger.msgs);
-      e.set("ledger_words_total", ledger.words);
-      e.set("wall_seconds", wall);
-      results.push_back(std::move(e));
+      using obs::Better;
+      results.push_back(
+          obs::BenchRecord(alg + "." + bname)
+              .metric("p", report.p, "ranks", Better::kNone)
+              .metric("makespan", report.makespan(), "model time",
+                      Better::kLower)
+              .metric("ledger_messages_total", ledger.msgs, "messages",
+                      Better::kLower)
+              .metric("ledger_words_total", ledger.words, "words",
+                      Better::kLower)
+              .info("wall_seconds", wall)
+              .to_json());
     }
   }
 
@@ -150,12 +154,8 @@ int main(int argc, char** argv) {
 
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) {
-    json::Value doc = json::Value::object();
-    doc.set("bench", "transport");
-    doc.set("results", std::move(results));
-    std::ofstream out(json_path);
-    ALGE_REQUIRE(out.good(), "cannot write %s", json_path.c_str());
-    out << doc.dump() << "\n";
+    obs::write_bench_file(obs::bench_file("transport", std::move(results)),
+                          json_path);
     std::fprintf(stderr, "[transport] wrote %s\n", json_path.c_str());
   }
   if (!all_ok) {

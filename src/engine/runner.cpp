@@ -13,6 +13,7 @@
 #include "chaos/schedule.hpp"
 #include "engine/backend.hpp"
 #include "engine/pool.hpp"
+#include "obs/bench_metrics.hpp"
 #include "sim/comm.hpp"
 #include "sim/machine.hpp"
 #include "support/common.hpp"
@@ -339,48 +340,53 @@ SweepOptions sweep_options_from_cli(const CliArgs& cli) {
 void append_bench_record(const std::string& bench_name,
                          const SweepRunner& runner, const std::string& path) {
   if (path.empty()) return;
+  const SweepStats& s = runner.stats();
+  const SweepProfile& p = s.profile;
+  using obs::Better;
+  obs::BenchRecord rec(bench_name);
+  rec.metric("jobs", s.jobs, "count", Better::kNone)
+      .metric("cache_hits", s.cache_hits, "count", Better::kHigher)
+      .metric("executed", s.executed, "count", Better::kNone)
+      .metric("threads", runner.options().threads, "count", Better::kNone)
+      .metric("wall_seconds", s.wall_seconds, "s", Better::kLower)
+      .metric("jobs_per_sec", s.jobs_per_sec, "1/s", Better::kHigher);
+  using Field = std::pair<const char*, double>;
+  for (const auto& [key, seconds] :
+       {Field{"cache_lookup_seconds", p.cache_lookup_seconds},
+        {"serialize_seconds", p.serialize_seconds},
+        {"run_seconds", p.run_seconds},
+        {"run_max_seconds", p.run_max_seconds},
+        {"queue_wait_seconds", p.queue_wait_seconds},
+        {"queue_wait_max_seconds", p.queue_wait_max_seconds},
+        {"pool_busy_seconds", p.pool_busy_seconds}}) {
+    rec.metric(std::string("profile.") + key, seconds, "s", Better::kLower);
+  }
+  rec.metric("profile.pool_occupancy", p.pool_occupancy, "ratio",
+             Better::kHigher)
+      .info("unix_time",
+            static_cast<double>(
+                std::chrono::duration_cast<std::chrono::seconds>(
+                    std::chrono::system_clock::now().time_since_epoch())
+                    .count()));
+
   json::Value records = json::Value::array();
-  {
+  try {
     std::ifstream in(path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      try {
-        json::Value existing = json::parse(buf.str());
-        if (existing.is_array()) records = std::move(existing);
-      } catch (const json::json_error&) {
-        // Malformed history: start a fresh array rather than failing the
-        // bench run.
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const json::Value existing = json::parse(buf.str());
+    (void)obs::read_bench_metrics(existing);
+    if (existing.at("bench").as_string() == "engine") {
+      for (const json::Value& r : existing.at("records").as_array()) {
+        if (r.at("name").as_string() != bench_name) records.push_back(r);
       }
     }
+  } catch (const json::json_error&) {
+    // Missing, malformed or not an engine bench file: start fresh rather
+    // than failing the bench run.
   }
-  const SweepStats& s = runner.stats();
-  json::Value prof = json::Value::object();
-  prof.set("cache_lookup_seconds", s.profile.cache_lookup_seconds)
-      .set("serialize_seconds", s.profile.serialize_seconds)
-      .set("run_seconds", s.profile.run_seconds)
-      .set("run_max_seconds", s.profile.run_max_seconds)
-      .set("queue_wait_seconds", s.profile.queue_wait_seconds)
-      .set("queue_wait_max_seconds", s.profile.queue_wait_max_seconds)
-      .set("pool_busy_seconds", s.profile.pool_busy_seconds)
-      .set("pool_occupancy", s.profile.pool_occupancy);
-  json::Value rec = json::Value::object();
-  rec.set("bench", bench_name)
-      .set("jobs", s.jobs)
-      .set("cache_hits", s.cache_hits)
-      .set("executed", s.executed)
-      .set("threads", runner.options().threads)
-      .set("wall_seconds", s.wall_seconds)
-      .set("jobs_per_sec", s.jobs_per_sec)
-      .set("profile", std::move(prof))
-      .set("unix_time",
-           static_cast<double>(std::chrono::duration_cast<std::chrono::seconds>(
-                                   std::chrono::system_clock::now()
-                                       .time_since_epoch())
-                                   .count()));
-  records.push_back(std::move(rec));
-  std::ofstream out(path, std::ios::trunc);
-  if (out) out << records.dump() << '\n';
+  records.push_back(rec.to_json());
+  obs::write_bench_file(obs::bench_file("engine", std::move(records)), path);
 }
 
 }  // namespace alge::engine

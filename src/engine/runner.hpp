@@ -107,11 +107,11 @@ void add_engine_flags(CliArgs& cli);
 /// --progress is set, wires a stderr progress printer.
 SweepOptions sweep_options_from_cli(const CliArgs& cli);
 
-/// Append {bench, jobs, cache_hits, executed, threads, wall_seconds,
-/// jobs_per_sec} to the JSON array in `path` (the --bench-json flag;
-/// empty path disables). Creates the file on first use; a malformed
-/// existing file is replaced rather than fatal. Gives later PRs a perf
-/// trajectory to compare against.
+/// Put the sweep's record (jobs, cache_hits, executed, threads,
+/// wall_seconds, jobs_per_sec, profile.*) for `bench_name` into the
+/// "engine" bench file at `path` (the --bench-json flag; empty path
+/// disables), replacing that bench's previous record and keeping the
+/// others. A missing, malformed or foreign file is started fresh.
 void append_bench_record(const std::string& bench_name,
                          const SweepRunner& runner, const std::string& path);
 

@@ -1,75 +1,66 @@
-// Normalization and comparison of the repo's benchmark JSON files, shared
-// by tools/bench_diff and the CI bench-regression gate.
+// The one record schema of the repo's benchmark files, with the writer the
+// benches use and the reader tools/bench_diff and the CI gate use:
 //
-// These on-disk formats are understood, detected by shape:
+//   {"bench": B, "host": H, "info": {...},
+//    "records": [{"name": R,
+//                 "metrics": {M: {"value": v, "unit": u, "better": d}},
+//                 "info": {...}}]}
 //
-//   BENCH_sim.json          object with a "benchmarks" OBJECT of named
-//                           {baseline, optimized, speedup} entries — the
-//                           "optimized" record (the current performance
-//                           contract) is emitted under the bare name
-//                           ("BM_PingPong.real_time_ns"), so the committed
-//                           baseline compares directly against a fresh
-//                           --benchmark_out run of the same binary
-//   google-benchmark output object with a "benchmarks" ARRAY — each entry
-//                           keyed by its "name" field, times normalized to
-//                           ns via "time_unit"
-//   BENCH_ghost.json        object with "bench": "ghost" and a "results"
-//                           array of named full-vs-ghost records — the
-//                           speedup ratio and the deterministic simulation
-//                           fields are emitted as "ghost.<name>.<field>";
-//                           raw wall-clock seconds are machine-dependent
-//                           and skipped
-//   BENCH_engine.json       top-level array of run records — the LAST
-//                           record per "bench" name wins (it is an
-//                           append-only history), keyed "engine.<bench>.*"
-//   BENCH_navigator.json    object with "bench": "navigator" and a
-//                           "results" array of per-(model, generation)
-//                           frontier records — emitted as
-//                           "navigator.<name>.<field>" (frontier_area /
-//                           crossover / inflation lower-better,
-//                           robust_fraction and gflops_per_watt
-//                           higher-better); navigate_seconds is wall
-//                           clock and skipped, negative crossover
-//                           sentinels ("unreachable") are skipped
-//   BENCH_serve.json        object with "bench": "serve" and a "results"
-//                           array of per-phase loadtest records — emitted
-//                           as "serve.<phase>.<field>" (queries_per_sec
-//                           higher-better, p50_us/p99_us/max_us
-//                           lower-better); raw query counts and elapsed
-//                           seconds scale with --duration and are skipped
-//   BENCH_transport.json    object with "bench": "transport" and a
-//                           "results" array of per-(alg, backend) records
-//                           from bench/transport_micro — the deterministic
-//                           model fields (makespan, wire message/word
-//                           totals, p) are emitted as
-//                           "transport.<name>.<field>"; wall_seconds is
-//                           real machine-dependent clock and skipped
-//
-// Everything else falls back to the generic numeric-leaf flatten, so the
-// tool keeps working when a new format appears. Wall-clock keys
-// ("unix_time", "date") are dropped: they change every run by construction.
+// A metric is named "B.R.M". Its writer declares `better`: "lower",
+// "higher", or "none" (reported, never a regression). No reader guesses a
+// direction from a name. "info", at file or record level, holds what a run
+// records but must never be compared: wall-clock seconds of deterministic
+// benches, counts that scale with a run's duration, flags, sentinels. The
+// one foreign format read is google-benchmark's --benchmark_out file,
+// imported as bench "gbench" (times in ns lower-better, *_per_second
+// higher-better), so a fresh micro_sim run compares against the committed
+// BENCH_sim.json.
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/json.hpp"
 
 namespace alge::obs {
 
-/// A named numeric metric extracted from a bench file.
+enum class Better { kLower, kHigher, kNone };
+
+/// Writer: one record of a bench file.
+class BenchRecord {
+ public:
+  explicit BenchRecord(std::string name) : name_(std::move(name)) {}
+  /// Declare a compared metric.
+  BenchRecord& metric(const std::string& key, double value,
+                      const std::string& unit, Better better);
+  /// Record a field that is never compared.
+  BenchRecord& info(const std::string& key, json::Value value);
+  json::Value to_json() const;
+
+ private:
+  std::string name_;
+  json::Value metrics_ = json::Value::object();
+  json::Value info_ = json::Value::object();
+};
+
+/// Writer: a bench file of `records` (an array of BenchRecord::to_json()
+/// values). The host is this machine's architecture and CPU count.
+json::Value bench_file(const std::string& bench, json::Value records);
+
+/// Write `doc` to `path` (one line); throws when the path is not writable.
+void write_bench_file(const json::Value& doc, const std::string& path);
+
+/// A named metric read from a bench file.
 struct Metric {
   std::string name;
   double value = 0.0;
+  Better better = Better::kNone;
 };
 
-/// Which direction is better for a metric, inferred from its name:
-/// +1 higher-better (throughput-like), -1 lower-better (time-like),
-/// 0 neutral (counts/configuration: reported, never a regression).
-int metric_direction(const std::string& name);
-
-/// Flatten `doc` (any of the formats above) into sorted name→value pairs.
-std::vector<Metric> normalize_bench_json(const json::Value& doc);
+/// Read a bench file or google-benchmark output into metrics sorted by
+/// name. Throws json::json_error for any other document.
+std::vector<Metric> read_bench_metrics(const json::Value& doc);
 
 struct MetricDiff {
   std::string name;
@@ -78,9 +69,9 @@ struct MetricDiff {
   /// Signed relative change (current - base) / |base|; ±inf when base is 0
   /// and current is not.
   double rel_change = 0.0;
-  int direction = 0;       ///< see metric_direction
-  double threshold = 0.0;  ///< the threshold this metric was gated at
-  bool regression = false; ///< worsened beyond the threshold
+  Better better = Better::kNone;  ///< as the current file declares it
+  double threshold = 0.0;         ///< the threshold this metric was gated at
+  bool regression = false;        ///< worsened beyond the threshold
 };
 
 struct BenchDiff {
@@ -100,9 +91,9 @@ struct ThresholdOverride {
 };
 
 /// Compare two bench documents. A metric regresses when it moves against
-/// its direction by more than its threshold (relative, e.g. 0.1 = 10%):
-/// the default for most metrics, or the best-matching override. CI uses
-/// overrides to gate deterministic simulated metrics tightly (~1e-4)
+/// its declared direction by more than its threshold (relative, e.g. 0.1 =
+/// 10%): the default for most metrics, or the best-matching override. CI
+/// uses overrides to gate deterministic simulated metrics tightly (~1e-4)
 /// while leaving machine-dependent wall-clock ratios loose.
 BenchDiff diff_bench_json(const json::Value& base, const json::Value& current,
                           double threshold,

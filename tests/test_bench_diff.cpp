@@ -1,24 +1,64 @@
 // Golden-input coverage for the bench_diff CLI (tools/bench_diff_main.hpp)
-// and the obs::metric_direction heuristics it gates on. Exercises all three
-// exit codes — 0 clean, 1 regression, 2 usage/IO error — across the
-// bench JSON formats the repo produces.
+// and the bench record schema it reads (obs/bench_metrics.hpp). Exercises
+// all three exit codes — 0 clean, 1 regression, 2 usage/IO error — and
+// checks that each committed BENCH_*.json declares the directions its gate
+// relies on.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <initializer_list>
+#include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "obs/bench_metrics.hpp"
+#include "support/common.hpp"
 #include "support/json.hpp"
 #include "../tools/bench_diff_main.hpp"
 
 namespace {
 
+using alge::obs::Better;
 using alge::tools::run_bench_diff;
 
 std::string golden(const std::string& name) {
   return std::string(ALGE_GOLDEN_DIR) + "/bench_diff/" + name;
+}
+
+alge::json::Value load(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return alge::json::parse(buf.str());
+}
+
+/// A committed BENCH_<bench>.json at the repository root.
+alge::json::Value committed(const std::string& bench) {
+  return load(std::string(ALGE_SOURCE_DIR) + "/BENCH_" + bench + ".json");
+}
+
+/// Every metric of `doc` with its declared direction, by name.
+std::map<std::string, Better> directions(const alge::json::Value& doc) {
+  std::map<std::string, Better> out;
+  for (const alge::obs::Metric& m : alge::obs::read_bench_metrics(doc)) {
+    out[m.name] = m.better;
+  }
+  return out;
+}
+
+/// A bench file "t" holding one record "r" with the given metrics.
+alge::json::Value one_record(
+    std::initializer_list<std::tuple<const char*, double, Better>> metrics) {
+  alge::obs::BenchRecord rec("r");
+  for (const auto& [key, value, better] : metrics) {
+    rec.metric(key, value, "u", better);
+  }
+  alge::json::Value records = alge::json::Value::array();
+  records.push_back(rec.to_json());
+  return alge::obs::bench_file("t", std::move(records));
 }
 
 struct CliResult {
@@ -56,9 +96,11 @@ TEST(BenchDiffCli, RenamedMetricIsReportedButNotARegression) {
   const CliResult r =
       run({golden("sim_base.json"), golden("sim_renamed.json")});
   EXPECT_EQ(r.rc, 0);
-  EXPECT_NE(r.out.find("removed     BM_fft.real_time_ns"), std::string::npos)
+  EXPECT_NE(r.out.find("removed     gbench.BM_fft.real_time_ns"),
+            std::string::npos)
       << r.out;
-  EXPECT_NE(r.out.find("added       BM_fft2.real_time_ns"), std::string::npos)
+  EXPECT_NE(r.out.find("added       gbench.BM_fft2.real_time_ns"),
+            std::string::npos)
       << r.out;
 }
 
@@ -72,16 +114,6 @@ TEST(BenchDiffCli, GoogleBenchmarkTimeUnitsAreNormalized) {
   EXPECT_NE(r.out.find("0 regression(s), 0 improvement(s)"),
             std::string::npos)
       << r.out;
-}
-
-TEST(BenchDiffCli, EngineHistoryComparesLatestRecordOnly) {
-  // Base history has two records for sweep_mm; only the last one (wall 8.0,
-  // hits 7) is the comparison point, so current (7.5, 9) is clean.
-  const CliResult r =
-      run({golden("engine_base.json"), golden("engine_current.json")});
-  EXPECT_EQ(r.rc, 0);
-  EXPECT_NE(r.out.find("2 metric(s) compared"), std::string::npos) << r.out;
-  EXPECT_NE(r.out.find("0 regression(s)"), std::string::npos) << r.out;
 }
 
 TEST(BenchDiffCli, VerboseListsUnchangedMetrics) {
@@ -108,7 +140,8 @@ TEST(BenchDiffCli, RegressionsExitOne) {
   // counter jumping 8 -> 1000 must not.
   EXPECT_NE(r.out.find("REGRESSION"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("2 regression(s)"), std::string::npos) << r.out;
-  EXPECT_EQ(r.out.find("REGRESSION  BM_mm25d.iterations"), std::string::npos)
+  EXPECT_EQ(r.out.find("REGRESSION  gbench.BM_mm25d.iterations"),
+            std::string::npos)
       << r.out;
 }
 
@@ -157,6 +190,18 @@ TEST(BenchDiffCli, MalformedJsonExitsTwo) {
   EXPECT_NE(r.err.find("not valid JSON"), std::string::npos) << r.err;
 }
 
+TEST(BenchDiffCli, UnknownShapeExitsTwo) {
+  // Valid JSON in neither the bench record schema nor google-benchmark's
+  // format is refused by path, never flattened into guessed metrics.
+  const CliResult r =
+      run({golden("sim_base.json"), golden("unknown_shape.json")});
+  EXPECT_EQ(r.rc, 2);
+  EXPECT_NE(r.err.find("unknown_shape.json' is not a bench file"),
+            std::string::npos)
+      << r.err;
+  EXPECT_TRUE(r.out.empty()) << r.out;
+}
+
 TEST(BenchDiffCli, NullSinksAreAccepted) {
   EXPECT_EQ(run_bench_diff({golden("sim_base.json"), golden("sim_clean.json")},
                            nullptr, nullptr),
@@ -164,146 +209,191 @@ TEST(BenchDiffCli, NullSinksAreAccepted) {
   EXPECT_EQ(run_bench_diff({}, nullptr, nullptr), 2);
 }
 
-// ------------------------------------------------- direction heuristics
+// ------------------------------------------------------ bench schema
 
+TEST(BenchSchema, WriterRecordRoundTripsThroughReader) {
+  alge::obs::BenchRecord rec("mm n=64");
+  rec.metric("makespan", 1234.5, "model time", Better::kLower)
+      .metric("speedup", 7.25, "ratio", Better::kHigher)
+      .metric("p", 64, "ranks", Better::kNone)
+      .info("wall_seconds", 0.5)
+      .info("identical", true);
+  alge::json::Value records = alge::json::Value::array();
+  records.push_back(rec.to_json());
+  const alge::json::Value doc = alge::obs::bench_file("demo", std::move(records));
+  EXPECT_FALSE(doc.at("host").as_string().empty());
+
+  const std::vector<alge::obs::Metric> m =
+      alge::obs::read_bench_metrics(alge::json::parse(doc.dump()));
+  ASSERT_EQ(m.size(), 3u);  // sorted by name; info fields never appear
+  EXPECT_EQ(m[0].name, "demo.mm n=64.makespan");
+  EXPECT_EQ(m[0].value, 1234.5);
+  EXPECT_EQ(m[0].better, Better::kLower);
+  EXPECT_EQ(m[1].name, "demo.mm n=64.p");
+  EXPECT_EQ(m[1].value, 64.0);
+  EXPECT_EQ(m[1].better, Better::kNone);
+  EXPECT_EQ(m[2].name, "demo.mm n=64.speedup");
+  EXPECT_EQ(m[2].value, 7.25);
+  EXPECT_EQ(m[2].better, Better::kHigher);
+}
+
+TEST(BenchSchema, ReaderRefusesOtherShapes) {
+  using alge::json::parse;
+  using alge::obs::read_bench_metrics;
+  const char* refused[] = {
+      // The retired per-bench shapes and a bare numeric tree.
+      R"([{"bench": "sweep", "wall_seconds": 1.0}])",
+      R"({"bench": "ghost", "results": [{"name": "a", "makespan": 1.0}]})",
+      R"({"benchmarks": {"BM_A": {"optimized": {"real_time_ns": 1.0}}}})",
+      R"({"startup_time": 1.0})",
+      // Schema documents with a missing or undeclared piece.
+      R"({"records": []})",
+      R"({"bench": "b", "records": [{"metrics": {}}]})",
+      R"({"bench": "b", "records": [{"name": "r", "metrics":
+          {"m": {"value": 1.0, "better": "lower"}}}]})",
+      R"({"bench": "b", "records": [{"name": "r", "metrics":
+          {"m": {"value": 1.0, "unit": "s"}}}]})",
+      R"({"bench": "b", "records": [{"name": "r", "metrics":
+          {"m": {"value": 1.0, "unit": "s", "better": "faster"}}}]})",
+      R"({"bench": "b", "records": [{"name": "r", "metrics":
+          {"m": {"value": "1", "unit": "s", "better": "lower"}}}]})",
+  };
+  for (const char* text : refused) {
+    EXPECT_THROW(read_bench_metrics(parse(text)), alge::json::json_error)
+        << text;
+  }
+  // Info is optional and never read, whatever it holds.
+  const std::vector<alge::obs::Metric> m = read_bench_metrics(
+      parse(R"({"bench": "b", "host": "h", "records": [{"name": "r",
+          "metrics": {"m": {"value": 2.0, "unit": "s", "better": "none"}},
+          "info": {"seconds": 3.0, "nested": {"x": 1.0}}}]})"));
+  ASSERT_EQ(m.size(), 1u);
+  EXPECT_EQ(m[0].name, "b.r.m");
+}
+
+// google-benchmark output is the one imported format; the importer, not a
+// name heuristic, declares its directions.
 TEST(MetricDirection, ThroughputLikeNamesAreMoreIsBetter) {
-  using alge::obs::metric_direction;
-  EXPECT_EQ(metric_direction("BM_mm.items_per_second"), 1);
-  EXPECT_EQ(metric_direction("bytes_per_sec"), 1);
-  EXPECT_EQ(metric_direction("BM_mm25d.speedup"), 1);
-  EXPECT_EQ(metric_direction("engine.pool.occupancy"), 1);
-  EXPECT_EQ(metric_direction("engine.sweep.cache_hits"), 1);
+  const auto d = directions(alge::json::parse(
+      R"({"benchmarks": [{"name": "BM_mm", "items_per_second": 5.0,
+          "bytes_per_second": 6.0}]})"));
+  EXPECT_EQ(d.at("gbench.BM_mm.items_per_second"), Better::kHigher);
+  EXPECT_EQ(d.at("gbench.BM_mm.bytes_per_second"), Better::kHigher);
 }
 
 TEST(MetricDirection, TimeLikeNamesAreLessIsBetter) {
-  using alge::obs::metric_direction;
-  EXPECT_EQ(metric_direction("BM_mm.real_time_ns"), -1);
-  EXPECT_EQ(metric_direction("engine.sweep.wall_seconds"), -1);
-  EXPECT_EQ(metric_direction("rank0.idle_wait"), -1);
-  EXPECT_EQ(metric_direction("engine.sweep.cache_miss"), -1);
-  EXPECT_EQ(metric_direction("makespan_ns"), -1);
+  const auto d = directions(alge::json::parse(
+      R"({"benchmarks": [{"name": "BM_mm", "real_time": 2.0,
+          "cpu_time": 1.0, "time_unit": "ns", "iterations": 9}]})"));
+  EXPECT_EQ(d.at("gbench.BM_mm.real_time_ns"), Better::kLower);
+  EXPECT_EQ(d.at("gbench.BM_mm.cpu_time_ns"), Better::kLower);
+  EXPECT_EQ(d.size(), 2u);  // iteration counts are configuration
 }
 
 TEST(MetricDirection, ThroughputRuleWinsOverEmbeddedTimeWords) {
-  // "items_per_second" contains "second" but must read as throughput.
-  EXPECT_EQ(alge::obs::metric_direction("items_per_second"), 1);
+  // "items_per_second" contains "second" but imports as throughput.
+  const auto d = directions(alge::json::parse(
+      R"({"benchmarks": [{"name": "BM_x", "items_per_second": 1.0}]})"));
+  EXPECT_EQ(d.at("gbench.BM_x.items_per_second"), Better::kHigher);
 }
 
 TEST(MetricDirection, NeutralNamesNeverGate) {
-  using alge::obs::metric_direction;
-  EXPECT_EQ(metric_direction("iterations"), 0);
-  EXPECT_EQ(metric_direction("BM_mm.flops"), 0);
-  EXPECT_EQ(metric_direction("words_sent"), 0);
+  // A metric declared "none" never regresses, whatever its name says.
+  const alge::json::Value base = one_record(
+      {{"wall_seconds", 1.0, Better::kNone}, {"iterations", 8.0, Better::kNone}});
+  const alge::json::Value cur = one_record(
+      {{"wall_seconds", 9.0, Better::kNone}, {"iterations", 1.0, Better::kNone}});
+  const alge::obs::BenchDiff d = alge::obs::diff_bench_json(base, cur, 0.10);
+  EXPECT_EQ(d.metrics.size(), 2u);
+  EXPECT_EQ(d.regressions, 0);
 }
 
+// --------------------------------------- committed files, bench by bench
+
 TEST(GhostNormalizer, EmitsSpeedupAndSimFieldsSkipsWallClock) {
-  const alge::json::Value doc = alge::json::parse(R"({
-    "bench": "ghost",
-    "results": [
-      {"name": "mm n=4096", "p": 64, "full_seconds": 24.1,
-       "ghost_seconds": 0.0002, "speedup": 120000.0,
-       "cost_identical": true, "makespan": 2156527616.0},
-      {"name": "frontier", "p": 4096, "ghost_seconds": 0.35,
-       "makespan": 2164262144.0}
-    ]})");
-  const std::vector<alge::obs::Metric> m =
-      alge::obs::normalize_bench_json(doc);
-  std::vector<std::string> names;
-  for (const auto& metric : m) names.push_back(metric.name);
-  EXPECT_EQ(names,
-            (std::vector<std::string>{"ghost.frontier.makespan",
-                                      "ghost.frontier.p",
-                                      "ghost.mm n=4096.makespan",
-                                      "ghost.mm n=4096.p",
-                                      "ghost.mm n=4096.speedup"}));
-  // Speedup gates as more-is-better; the raw wall-clock fields (machine
-  // noise) never become metrics.
-  EXPECT_EQ(alge::obs::metric_direction("ghost.mm n=4096.speedup"), 1);
+  const alge::json::Value doc = committed("ghost");
+  const auto d = directions(doc);
+  for (const alge::json::Value& rec : doc.at("records").as_array()) {
+    const std::string n = "ghost." + rec.at("name").as_string() + ".";
+    EXPECT_EQ(d.at(n + "p"), Better::kNone) << n;
+    for (const char* lower : {"makespan", "energy", "flops_per_rank",
+                              "words_per_rank", "msgs_per_rank"}) {
+      EXPECT_EQ(d.at(n + lower), Better::kLower) << n << lower;
+    }
+    // Raw wall clock is machine noise: recorded, never compared.
+    EXPECT_EQ(d.count(n + "full_seconds"), 0u) << n;
+    EXPECT_EQ(d.count(n + "ghost_seconds"), 0u) << n;
+  }
+  EXPECT_EQ(d.at("ghost.scaling_mm n=256 q=8.speedup"), Better::kHigher);
 }
 
 TEST(ServeNormalizer, EmitsRatesAndQuantilesSkipsRunScaledCounts) {
-  const alge::json::Value doc = alge::json::parse(R"({
-    "bench": "serve",
-    "results": [
-      {"name": "closed_form_pipelined", "queries": 1392640,
-       "seconds": 2.0004, "queries_per_sec": 696201.0,
-       "p50_us": 126.1, "p99_us": 228.0, "max_us": 3879.1},
-      {"name": "ghost_miss", "queries": 32, "seconds": 0.0029,
-       "queries_per_sec": 11018.7, "p50_us": 58.7, "p99_us": 146.6,
-       "max_us": 261.0}
-    ]})");
-  const std::vector<alge::obs::Metric> m =
-      alge::obs::normalize_bench_json(doc);
   std::vector<std::string> names;
-  for (const auto& metric : m) names.push_back(metric.name);
-  EXPECT_EQ(names,
-            (std::vector<std::string>{
-                "serve.closed_form_pipelined.max_us",
-                "serve.closed_form_pipelined.p50_us",
-                "serve.closed_form_pipelined.p99_us",
-                "serve.closed_form_pipelined.queries_per_sec",
-                "serve.ghost_miss.max_us", "serve.ghost_miss.p50_us",
-                "serve.ghost_miss.p99_us",
-                "serve.ghost_miss.queries_per_sec"}));
+  for (const alge::obs::Metric& m :
+       alge::obs::read_bench_metrics(committed("serve"))) {
+    if (m.name.rfind("serve.ghost_miss.", 0) == 0) names.push_back(m.name);
+  }
+  // Query counts and elapsed seconds scale with --duration: info only.
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "serve.ghost_miss.max_us", "serve.ghost_miss.p50_us",
+                       "serve.ghost_miss.p99_us",
+                       "serve.ghost_miss.queries_per_sec"}));
 }
 
 TEST(ServeNormalizer, DirectionsGateThroughputUpLatencyDown) {
-  // Throughput regresses when it drops; latency quantiles regress when
-  // they grow. "per_sec" wins over the "_us"/"p50" latency rules.
-  EXPECT_EQ(alge::obs::metric_direction(
-                "serve.closed_form_pipelined.queries_per_sec"),
-            1);
-  EXPECT_EQ(alge::obs::metric_direction("serve.ghost_miss.p50_us"), -1);
-  EXPECT_EQ(alge::obs::metric_direction("serve.ghost_miss.p99_us"), -1);
-  EXPECT_EQ(alge::obs::metric_direction("serve.ghost_miss.max_us"), -1);
+  const auto d = directions(committed("serve"));
+  EXPECT_EQ(d.at("serve.closed_form_pipelined.queries_per_sec"),
+            Better::kHigher);
+  EXPECT_EQ(d.at("serve.ghost_miss.p50_us"), Better::kLower);
+  EXPECT_EQ(d.at("serve.ghost_miss.p99_us"), Better::kLower);
+  EXPECT_EQ(d.at("serve.ghost_miss.max_us"), Better::kLower);
 
-  const alge::json::Value base = alge::json::parse(
-      R"({"bench":"serve","results":[{"name":"hot","queries_per_sec":
-          600000.0,"p99_us":100.0}]})");
-  const alge::json::Value cur = alge::json::parse(
-      R"({"bench":"serve","results":[{"name":"hot","queries_per_sec":
-          100000.0,"p99_us":700.0}]})");
-  const alge::obs::BenchDiff d = alge::obs::diff_bench_json(base, cur, 0.5);
-  EXPECT_EQ(d.regressions, 2);
+  const alge::json::Value base = one_record(
+      {{"queries_per_sec", 600000.0, Better::kHigher},
+       {"p99_us", 100.0, Better::kLower}});
+  const alge::json::Value cur = one_record(
+      {{"queries_per_sec", 100000.0, Better::kHigher},
+       {"p99_us", 700.0, Better::kLower}});
+  EXPECT_EQ(alge::obs::diff_bench_json(base, cur, 0.5).regressions, 2);
 }
 
-// ------------------------------------------------- navigator normalizer
-
 TEST(NavigatorNormalizer, EmitsFrontierMetricsSkipsWallClockAndSentinels) {
-  std::ifstream in(golden("navigator_base.json"));
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const alge::json::Value doc = alge::json::parse(buf.str());
-  const std::vector<alge::obs::Metric> m =
-      alge::obs::normalize_bench_json(doc);
-  auto has = [&](const char* name) {
-    for (const alge::obs::Metric& x : m) {
-      if (x.name == name) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(has("navigator.nbody gen=0.frontier_area"));
-  EXPECT_TRUE(has("navigator.nbody gen=0.robust_fraction"));
-  EXPECT_TRUE(has("navigator.nbody gen=0.fault_energy_inflation"));
-  EXPECT_TRUE(has("navigator.nbody gen=2.crossover_generations"));
+  const auto d = directions(committed("navigator"));
+  EXPECT_EQ(d.count("navigator.nbody gen=0.frontier_area"), 1u);
+  EXPECT_EQ(d.count("navigator.nbody gen=0.robust_fraction"), 1u);
+  EXPECT_EQ(d.count("navigator.nbody gen=0.fault_energy_inflation"), 1u);
+  EXPECT_EQ(d.count("navigator.nbody gen=2.crossover_generations"), 1u);
   // Wall clock never compares.
-  EXPECT_FALSE(has("navigator.nbody gen=0.navigate_seconds"));
+  EXPECT_EQ(d.count("navigator.nbody gen=0.navigate_seconds"), 0u);
+  // An unreachable crossover (-1) sits under info, not among the metrics.
+  const alge::json::Value regressed = load(golden("navigator_regressed.json"));
+  EXPECT_EQ(regressed.at("records").as_array()[0]
+                .at("info")
+                .at("crossover_generations_faulted")
+                .as_double(),
+            -1.0);
+  EXPECT_EQ(directions(regressed).count(
+                "navigator.nbody gen=0.crossover_generations_faulted"),
+            0u);
 }
 
 TEST(NavigatorNormalizer, DirectionsGateFrontierDownRobustnessUp) {
-  using alge::obs::metric_direction;
-  EXPECT_EQ(metric_direction("navigator.nbody gen=0.frontier_area"), -1);
-  EXPECT_EQ(metric_direction("navigator.nbody gen=0.crossover_generations"),
-            -1);
-  EXPECT_EQ(
-      metric_direction("navigator.nbody gen=0.fault_energy_inflation"), -1);
-  EXPECT_EQ(metric_direction("navigator.nbody gen=0.min_energy_joules"), -1);
-  EXPECT_EQ(metric_direction("navigator.nbody gen=0.robust_fraction"), 1);
-  EXPECT_EQ(
-      metric_direction("navigator.nbody gen=0.gflops_per_watt_at_opt"), 1);
+  const auto d = directions(committed("navigator"));
+  const std::string n = "navigator.nbody gen=0.";
+  for (const char* lower :
+       {"frontier_area", "crossover_generations", "fault_energy_inflation",
+        "min_energy_joules", "fiber_scored"}) {
+    EXPECT_EQ(d.at(n + lower), Better::kLower) << lower;
+  }
+  for (const char* higher :
+       {"robust_fraction", "gflops_per_watt_at_opt", "folded_scored"}) {
+    EXPECT_EQ(d.at(n + higher), Better::kHigher) << higher;
+  }
   // Counts and configuration stay neutral.
-  EXPECT_EQ(metric_direction("navigator.nbody gen=0.frontier_points"), 0);
-  EXPECT_EQ(metric_direction("navigator.nbody gen=0.generation"), 0);
+  for (const char* none :
+       {"frontier_points", "measured_frontier_points", "generation"}) {
+    EXPECT_EQ(d.at(n + none), Better::kNone) << none;
+  }
 }
 
 TEST(BenchDiffCli, NavigatorFrontierRegressionsExitOne) {
@@ -331,9 +421,9 @@ TEST(BenchDiffCli, NavigatorFrontierRegressionsExitOne) {
 
 TEST(ThresholdOverrides, LongestMatchingSubstringWins) {
   const alge::json::Value base =
-      alge::json::parse(R"({"x":{"real_time_ns":100.0}})");
+      one_record({{"real_time_ns", 100.0, Better::kLower}});
   const alge::json::Value cur =
-      alge::json::parse(R"({"x":{"real_time_ns":103.0}})");
+      one_record({{"real_time_ns", 103.0, Better::kLower}});
   // +3%: clean at the 10% default.
   EXPECT_EQ(alge::obs::diff_bench_json(base, cur, 0.10).regressions, 0);
   // A 1% override on "time" catches it...
@@ -372,10 +462,12 @@ TEST(BenchDiffCli, BadThresholdOverrideIsAUsageError) {
 }
 
 // Zero baselines can't form a relative change; the diff treats any growth
-// from zero as an infinite regression for time-like metrics.
+// from zero as an infinite regression for lower-better metrics.
 TEST(MetricDirection, ZeroBaseGrowthIsAnInfiniteRegression) {
-  const alge::json::Value base = alge::json::parse(R"({"startup_time": 0.0})");
-  const alge::json::Value cur = alge::json::parse(R"({"startup_time": 1.0})");
+  const alge::json::Value base =
+      one_record({{"startup_time", 0.0, Better::kLower}});
+  const alge::json::Value cur =
+      one_record({{"startup_time", 1.0, Better::kLower}});
   const alge::obs::BenchDiff d = alge::obs::diff_bench_json(base, cur, 0.10);
   ASSERT_EQ(d.metrics.size(), 1u);
   EXPECT_TRUE(d.metrics[0].regression);
@@ -384,60 +476,39 @@ TEST(MetricDirection, ZeroBaseGrowthIsAnInfiniteRegression) {
 
 // ------------------------------------------- navigator byte-stability
 
-// The committed BENCH_navigator.json must normalize to a byte-stable
-// metric listing: the golden pair pins both the metric *set* (names) and
-// every value at full round-trip precision. If the normalizer's key
-// filtering, naming scheme, or ordering changes — or the snapshot drifts —
-// this diff catches it before the CI gate silently starts comparing
-// different metrics.
+// The committed BENCH_navigator.json must read to a byte-stable metric
+// listing: the golden pair pins the metric *set* (names), every value at
+// full round-trip precision, and every declared direction. If the writer's
+// naming or declarations change — or the snapshot drifts — this diff
+// catches it before the CI gate silently starts comparing different
+// metrics.
 TEST(NavigatorNormalizer, CommittedFileNormalizesByteStably) {
-  std::ifstream in(golden("navigator_committed.json"));
-  ASSERT_TRUE(in.good());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const alge::json::Value doc = alge::json::parse(buf.str());
-  std::string normalized;
-  for (const alge::obs::Metric& m : alge::obs::normalize_bench_json(doc)) {
-    normalized += m.name;
-    normalized += ' ';
-    char num[64];
-    std::snprintf(num, sizeof(num), "%.17g", m.value);
-    normalized += num;
-    normalized += '\n';
+  const alge::json::Value doc = load(golden("navigator_committed.json"));
+  std::string listing;
+  for (const alge::obs::Metric& m : alge::obs::read_bench_metrics(doc)) {
+    listing += alge::strfmt("%s %.17g %s\n", m.name.c_str(), m.value,
+                            m.better == Better::kLower    ? "lower"
+                            : m.better == Better::kHigher ? "higher"
+                                                          : "none");
   }
   std::ifstream want_in(golden("navigator_committed.normalized.txt"));
   ASSERT_TRUE(want_in.good());
   std::ostringstream want;
   want << want_in.rdbuf();
-  EXPECT_EQ(normalized, want.str());
+  EXPECT_EQ(listing, want.str());
 }
 
-// ------------------------------------------------- transport normalizer
-
 TEST(TransportNormalizer, EmitsModelFieldsSkipsWallClock) {
-  const alge::json::Value doc = alge::json::parse(
-      R"({"bench":"transport","results":[{"name":"summa.shm","p":4,
-          "makespan":324.0,"ledger_messages_total":8.0,
-          "ledger_words_total":128.0,"wall_seconds":0.002}]})");
-  const std::vector<alge::obs::Metric> m =
-      alge::obs::normalize_bench_json(doc);
-  auto has = [&](const char* name) {
-    for (const alge::obs::Metric& x : m) {
-      if (x.name == name) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(has("transport.summa.shm.p"));
-  EXPECT_TRUE(has("transport.summa.shm.makespan"));
-  EXPECT_TRUE(has("transport.summa.shm.ledger_messages_total"));
-  EXPECT_TRUE(has("transport.summa.shm.ledger_words_total"));
+  const auto d = directions(committed("transport"));
+  const std::string n = "transport.summa.shm.";
+  EXPECT_EQ(d.at(n + "p"), Better::kNone);
+  // Makespan and the ledger totals are deterministic model quantities:
+  // any growth is a cost-schedule change.
+  EXPECT_EQ(d.at(n + "makespan"), Better::kLower);
+  EXPECT_EQ(d.at(n + "ledger_messages_total"), Better::kLower);
+  EXPECT_EQ(d.at(n + "ledger_words_total"), Better::kLower);
   // The only machine-dependent field never compares.
-  EXPECT_FALSE(has("transport.summa.shm.wall_seconds"));
-  // Makespan gates downward; ledger counts are neutral configuration.
-  EXPECT_EQ(alge::obs::metric_direction("transport.summa.shm.makespan"), -1);
-  EXPECT_EQ(
-      alge::obs::metric_direction("transport.summa.shm.ledger_messages_total"),
-      0);
+  EXPECT_EQ(d.count(n + "wall_seconds"), 0u);
 }
 
 }  // namespace

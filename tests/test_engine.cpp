@@ -442,28 +442,63 @@ TEST(Runner, InvalidSpecSurfacesAsException) {
   EXPECT_THROW(runner.run({bad}), invalid_argument_error);
 }
 
-TEST(Runner, BenchRecordAppendsToJsonArray) {
-  const std::string path = testing::TempDir() + "alge_bench_record_" +
-                           std::to_string(::getpid()) + ".json";
-  std::filesystem::remove(path);
-  SweepRunner runner;
-  std::vector<ExperimentSpec> specs;
+/// The names of the records in the engine bench file at `path`.
+std::vector<std::string> bench_record_names(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const json::Value doc = json::parse(buf.str());
+  EXPECT_EQ(doc.at("bench").as_string(), "engine");
+  std::vector<std::string> names;
+  for (const json::Value& r : doc.at("records").as_array()) {
+    names.push_back(r.at("name").as_string());
+  }
+  return names;
+}
+
+SweepRunner& one_job_sweep(SweepRunner& runner) {
   ExperimentSpec s;
   s.alg = Alg::kCollBcast;
   s.params = core::MachineParams::unit();
   s.p = 4;
   s.payload_words = 8;
-  specs.push_back(s);
-  runner.run(specs);
+  runner.run({s});
+  return runner;
+}
+
+TEST(Runner, BenchRecordReplacesSameBench) {
+  const std::string path = testing::TempDir() + "alge_bench_record_" +
+                           std::to_string(::getpid()) + ".json";
+  {
+    std::ofstream garbage(path);
+    garbage << "[{\"bench\": \"old history\"";  // malformed: start fresh
+  }
+  SweepRunner runner;
+  one_job_sweep(runner);
   append_bench_record("unit_test", runner, path);
   append_bench_record("unit_test", runner, path);
+  EXPECT_EQ(bench_record_names(path), std::vector<std::string>{"unit_test"});
   std::ifstream in(path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  const json::Value records = json::parse(buf.str());
-  ASSERT_EQ(records.as_array().size(), 2u);
-  EXPECT_EQ(records.as_array()[0].at("bench").as_string(), "unit_test");
-  EXPECT_EQ(records.as_array()[1].at("jobs").as_double(), 1.0);
+  const json::Value rec =
+      json::parse(buf.str()).at("records").as_array().at(0);
+  EXPECT_EQ(rec.at("metrics").at("jobs").at("value").as_double(), 1.0);
+  EXPECT_EQ(rec.at("metrics").at("jobs").at("better").as_string(), "none");
+  std::filesystem::remove(path);
+}
+
+TEST(Runner, BenchRecordKeepsOtherBenches) {
+  const std::string path = testing::TempDir() + "alge_bench_records_" +
+                           std::to_string(::getpid()) + ".json";
+  std::filesystem::remove(path);
+  SweepRunner runner;
+  one_job_sweep(runner);
+  append_bench_record("sweep_a", runner, path);
+  append_bench_record("sweep_b", runner, path);
+  append_bench_record("sweep_a", runner, path);
+  EXPECT_EQ(bench_record_names(path),
+            (std::vector<std::string>{"sweep_b", "sweep_a"}));
   std::filesystem::remove(path);
 }
 

@@ -2,15 +2,17 @@
 // (streaming sink + golden-file stability of a fixed p=4 matmul run), the
 // Eq. (2) energy ledger (the load-bearing property: (rank, phase) cells sum
 // EXACTLY — 1-ulp-scale — to Machine::energy(), across real machine
-// parameter sets from machines/db), and the bench-JSON normalizer/differ
+// parameter sets from machines/db), and the bench record reader/differ
 // behind tools/bench_diff and the CI regression gate.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "engine/runner.hpp"
@@ -359,16 +361,16 @@ TEST(ChromeTrace, ExecuteTracedMatchesUntracedResult) {
 
 // ------------------------------------------------------- bench metrics ----
 
-TEST(BenchMetrics, DirectionHeuristics) {
-  EXPECT_EQ(metric_direction("benchmarks.BM_PingPong.real_time_ns"), -1);
-  EXPECT_EQ(metric_direction("engine.mm.wall_seconds"), -1);
-  EXPECT_EQ(metric_direction("profile.queue_wait_seconds"), -1);
-  EXPECT_EQ(metric_direction("items_per_second"), +1);
-  EXPECT_EQ(metric_direction("engine.mm.jobs_per_sec"), +1);
-  EXPECT_EQ(metric_direction("speedup"), +1);
-  EXPECT_EQ(metric_direction("engine.mm.cache_hits"), +1);
-  EXPECT_EQ(metric_direction("engine.mm.jobs"), 0);
-  EXPECT_EQ(metric_direction("threads"), 0);
+/// A bench file "t" holding one record "r" with the given metrics.
+json::Value one_record(
+    std::initializer_list<std::tuple<const char*, double, Better>> metrics) {
+  BenchRecord rec("r");
+  for (const auto& [key, value, better] : metrics) {
+    rec.metric(key, value, "u", better);
+  }
+  json::Value records = json::Value::array();
+  records.push_back(rec.to_json());
+  return bench_file("t", std::move(records));
 }
 
 TEST(BenchMetrics, NormalizesGoogleBenchmarkFormat) {
@@ -379,12 +381,12 @@ TEST(BenchMetrics, NormalizesGoogleBenchmarkFormat) {
        "time_unit": "us", "items_per_second": 5e6},
       {"name": "BM_Y", "real_time": 3.0, "time_unit": "ms"}
     ]})");
-  const auto metrics = normalize_bench_json(doc);
+  const auto metrics = read_bench_metrics(doc);
   double x_ns = -1.0, y_ns = -1.0, x_items = -1.0;
   for (const auto& m : metrics) {
-    if (m.name == "BM_X/16.real_time_ns") x_ns = m.value;
-    if (m.name == "BM_Y.real_time_ns") y_ns = m.value;
-    if (m.name == "BM_X/16.items_per_second") x_items = m.value;
+    if (m.name == "gbench.BM_X/16.real_time_ns") x_ns = m.value;
+    if (m.name == "gbench.BM_Y.real_time_ns") y_ns = m.value;
+    if (m.name == "gbench.BM_X/16.items_per_second") x_items = m.value;
     EXPECT_EQ(m.name.find("context"), std::string::npos)
         << "context must not leak: " << m.name;
   }
@@ -393,65 +395,36 @@ TEST(BenchMetrics, NormalizesGoogleBenchmarkFormat) {
   EXPECT_DOUBLE_EQ(x_items, 5e6);
 }
 
-TEST(BenchMetrics, NormalizesEngineHistoryLastRecordWins) {
-  const json::Value doc = json::parse(R"([
-    {"bench": "mm", "jobs": 8, "wall_seconds": 2.0, "unix_time": 111},
-    {"bench": "val", "jobs": 3, "wall_seconds": 1.0, "unix_time": 222},
-    {"bench": "mm", "jobs": 8, "wall_seconds": 1.5, "unix_time": 333}
-  ])");
-  const auto metrics = normalize_bench_json(doc);
-  double mm_wall = -1.0;
-  bool saw_time = false;
-  for (const auto& m : metrics) {
-    if (m.name == "engine.mm.wall_seconds") mm_wall = m.value;
-    if (m.name.find("unix_time") != std::string::npos) saw_time = true;
-  }
-  EXPECT_DOUBLE_EQ(mm_wall, 1.5);  // the later record replaced the first
-  EXPECT_FALSE(saw_time);          // wall-clock keys dropped
-}
-
-TEST(BenchMetrics, NormalizesBaselineTableToBareBenchmarkNames) {
-  // The committed BENCH_sim.json shape: the "optimized" record is the
-  // performance contract and must come out under the bare benchmark name so
-  // it compares against a fresh google-benchmark run of the same binary.
-  const json::Value doc = json::parse(
-      R"({"description": "text ignored",
-          "benchmarks": {
-            "BM_A/16": {"baseline": {"real_time_ns": 100.0},
-                        "optimized": {"real_time_ns": 10.0,
-                                      "items_per_second": 4.0},
-                        "speedup": 10.0},
-            "BM_B": {"real_time_ns": 7.0}}})");
-  const auto metrics = normalize_bench_json(doc);
-  ASSERT_EQ(metrics.size(), 3u);  // sorted: the flatten is deterministic
-  EXPECT_EQ(metrics[0].name, "BM_A/16.items_per_second");
-  EXPECT_DOUBLE_EQ(metrics[0].value, 4.0);
-  EXPECT_EQ(metrics[1].name, "BM_A/16.real_time_ns");
-  EXPECT_DOUBLE_EQ(metrics[1].value, 10.0);
-  EXPECT_EQ(metrics[2].name, "BM_B.real_time_ns");  // no "optimized": whole
-}
-
 TEST(BenchMetrics, BaselineTableComparesAgainstGoogleBenchmarkOutput) {
+  // The committed BENCH_sim.json shape: bench "gbench", the performance
+  // contract as metrics and the pre-change baseline under info.
   const json::Value baseline = json::parse(
-      R"({"benchmarks": {"BM_A": {"optimized": {"real_time_ns": 100.0}}}})");
+      R"({"bench": "gbench", "host": "h", "records": [{"name": "BM_A",
+          "metrics": {"real_time_ns": {"value": 100.0, "unit": "ns",
+                                       "better": "lower"}},
+          "info": {"baseline": {"real_time_ns": 900.0}, "speedup": 9.0}}]})");
   const json::Value fresh = json::parse(
       R"({"benchmarks": [{"name": "BM_A", "real_time": 250.0,
                           "time_unit": "ns"}]})");
   const BenchDiff d = diff_bench_json(baseline, fresh, 0.5);
   ASSERT_EQ(d.metrics.size(), 1u);  // the formats meet on a common name
-  EXPECT_EQ(d.metrics[0].name, "BM_A.real_time_ns");
+  EXPECT_EQ(d.metrics[0].name, "gbench.BM_A.real_time_ns");
   EXPECT_TRUE(d.metrics[0].regression);  // 2.5x slower than committed
+  EXPECT_TRUE(d.only_base.empty());
+  EXPECT_TRUE(d.only_current.empty());
 }
 
 TEST(BenchMetrics, DiffFlagsRegressionsByDirection) {
-  const json::Value base = json::parse(
-      R"({"a_time_ns": 100.0, "b_per_second": 50.0, "count": 7.0})");
-  const json::Value slower = json::parse(
-      R"({"a_time_ns": 150.0, "b_per_second": 20.0, "count": 9.0})");
+  const json::Value base = one_record({{"a_time_ns", 100.0, Better::kLower},
+                                       {"b_per_second", 50.0, Better::kHigher},
+                                       {"count", 7.0, Better::kNone}});
+  const json::Value slower = one_record({{"a_time_ns", 150.0, Better::kLower},
+                                         {"b_per_second", 20.0, Better::kHigher},
+                                         {"count", 9.0, Better::kNone}});
   const BenchDiff d = diff_bench_json(base, slower, 0.10);
   EXPECT_EQ(d.regressions, 2);  // time rose 50%, throughput fell 60%
   for (const auto& m : d.metrics) {
-    if (m.name == "count") {
+    if (m.name == "t.r.count") {
       EXPECT_FALSE(m.regression);  // neutral direction never regresses
     }
   }
@@ -460,25 +433,28 @@ TEST(BenchMetrics, DiffFlagsRegressionsByDirection) {
   // A generous threshold forgives the change.
   EXPECT_EQ(diff_bench_json(base, slower, 0.70).regressions, 0);
   // Improvements never count as regressions.
-  const json::Value faster = json::parse(
-      R"({"a_time_ns": 50.0, "b_per_second": 80.0, "count": 7.0})");
+  const json::Value faster = one_record({{"a_time_ns", 50.0, Better::kLower},
+                                         {"b_per_second", 80.0, Better::kHigher},
+                                         {"count", 7.0, Better::kNone}});
   EXPECT_EQ(diff_bench_json(base, faster, 0.10).regressions, 0);
 }
 
 TEST(BenchMetrics, DiffTracksAppearingAndDisappearingMetrics) {
-  const json::Value base = json::parse(R"({"old_ns": 1.0, "both_ns": 2.0})");
-  const json::Value cur = json::parse(R"({"new_ns": 3.0, "both_ns": 2.0})");
+  const json::Value base = one_record(
+      {{"old_ns", 1.0, Better::kLower}, {"both_ns", 2.0, Better::kLower}});
+  const json::Value cur = one_record(
+      {{"new_ns", 3.0, Better::kLower}, {"both_ns", 2.0, Better::kLower}});
   const BenchDiff d = diff_bench_json(base, cur, 0.10);
   ASSERT_EQ(d.only_base.size(), 1u);
-  EXPECT_EQ(d.only_base[0], "old_ns");
+  EXPECT_EQ(d.only_base[0], "t.r.old_ns");
   ASSERT_EQ(d.only_current.size(), 1u);
-  EXPECT_EQ(d.only_current[0], "new_ns");
+  EXPECT_EQ(d.only_current[0], "t.r.new_ns");
   EXPECT_EQ(d.regressions, 0);
 }
 
 TEST(BenchMetrics, RenderNamesTheOffendingMetric) {
-  const json::Value base = json::parse(R"({"slow_path_ns": 100.0})");
-  const json::Value cur = json::parse(R"({"slow_path_ns": 250.0})");
+  const json::Value base = one_record({{"slow_path_ns", 100.0, Better::kLower}});
+  const json::Value cur = one_record({{"slow_path_ns", 250.0, Better::kLower}});
   const BenchDiff d = diff_bench_json(base, cur, 0.10);
   const std::string report = render_diff(d, 0.10);
   EXPECT_NE(report.find("REGRESSION"), std::string::npos);

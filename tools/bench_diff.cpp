@@ -3,27 +3,18 @@
 //   bench_diff BASELINE.json CURRENT.json [--threshold=0.10]
 //              [--thresholds=SUBSTR=REL,...] [--verbose]
 //
-// Understands all the bench formats the repo produces (see
-// obs/bench_metrics.hpp): the committed BENCH_sim.json object,
-// google-benchmark --benchmark_out files, BENCH_engine.json run
-// histories, BENCH_ghost.json full-vs-ghost speedup records,
-// BENCH_serve.json query-service loadtest phases (throughput
-// higher-better, latency quantiles lower-better),
-// BENCH_frontier.json folded-execution frontier points (simulated
-// makespan/energy/per-rank costs lower-better, wall seconds skipped),
-// and BENCH_navigator.json Pareto-frontier sweeps (frontier area,
-// crossover generations and fault inflation lower-better,
-// robust_fraction higher-better). A metric "regresses" when it moves
-// against its direction (time-like up, throughput-like down) by more
-// than its relative threshold — the default, or the longest-matching
-// --thresholds override; neutral metrics (counts, configuration) are
-// reported but never fail the diff.
+// Reads the repo's one bench record schema (obs/bench_metrics.hpp) and
+// google-benchmark --benchmark_out files. Each metric's writer declares
+// which direction is better; a metric "regresses" when it moves against
+// that direction by more than its relative threshold: the default, or the
+// longest-matching --thresholds override. Metrics declared "none" are
+// reported but never fail the diff, and "info" fields are never read.
 //
-// Exit codes: 0 clean, 1 regressions found, 2 usage or I/O error —
-// CI blocks on 1 (deterministic metrics gated tightly, wall-clock
-// ratios loosely; the allow-bench-regression PR label overrides). The
-// actual CLI logic lives in bench_diff_main.hpp so tests can drive it
-// in-process.
+// Exit codes: 0 clean, 1 regressions found, 2 usage or I/O error or a
+// file in neither format. CI blocks on 1 (deterministic metrics gated
+// tightly, wall-clock ratios loosely; the allow-bench-regression PR label
+// overrides). The CLI logic lives in bench_diff_main.hpp so tests can
+// drive it in-process.
 #include <cstdio>
 #include <string>
 #include <vector>

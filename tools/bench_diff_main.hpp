@@ -33,7 +33,7 @@ inline const char* bench_diff_usage_text() {
 /// Run the bench_diff CLI on `args` (argv[1..argc-1]). The report is
 /// appended to *out and diagnostics to *err (either may be null).
 /// Returns the process exit code: 0 clean, 1 regressions, 2 usage or
-/// I/O error.
+/// I/O error, or a file that is not a bench file.
 inline int run_bench_diff(const std::vector<std::string>& args,
                           std::string* out, std::string* err) {
   auto say = [](std::string* sink, const std::string& text) {
@@ -116,6 +116,13 @@ inline int run_bench_diff(const std::vector<std::string>& args,
     } catch (const json::json_error& e) {
       say(err, "bench_diff: '" + paths[i] +
                    "' is not valid JSON: " + e.what() + "\n");
+      return 2;
+    }
+    try {
+      (void)obs::read_bench_metrics(docs[i]);
+    } catch (const json::json_error& e) {
+      say(err, "bench_diff: '" + paths[i] +
+                   "' is not a bench file: " + e.what() + "\n");
       return 2;
     }
   }
